@@ -142,6 +142,8 @@ def _build_module(group: envgroup.FinGroup, spec: dict) -> ydmod.YDModule:
 def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise InputError("module pair descriptor must be a JSON object")
     if "diagonal" in spec:
         d = spec["diagonal"]
         qs = [cyclotomic.parse_cyc(d[k]) for k in ("q11", "q12", "q21", "q22")]

@@ -2,8 +2,9 @@
 
 Numbers are residues modulo the N-th cyclotomic polynomial with Fraction
 coefficients, so each conductor gives a true field; mixed-conductor operands
-are lifted to the lcm conductor.  Matrices store nonzero entries sparsely but
-behave like dense matrices.
+are lifted to the lcm conductor.  Matrices store their nonzero entries
+sparsely by row, and every rank and kernel comes from one sparse pivot-row
+elimination, ``echelon_rows``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, InvariantViolationError
 
 Rat = Union[int, Fraction]
 
@@ -52,12 +53,14 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InvariantViolationError(f"{den} does not divide {num} over the integers")
         q = c // den[-1]
         out[k] = q
         for i, d in enumerate(den):
             num[k + i] -= q * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InvariantViolationError(f"division by {den} leaves remainder {num}")
     return out
 
 
@@ -157,7 +160,7 @@ class CycNum:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         lead = _poly_trim(r0)
         if len(lead) != 1:
-            raise InputError("element is a zero divisor; conductor arithmetic broken")
+            raise InvariantViolationError("element is a zero divisor; conductor arithmetic broken")
         scale = 1 / lead[0]
         return CycNum(self.N, [c * scale for c in s0])
 
@@ -342,9 +345,6 @@ class CycMatrix:
     def copy(self) -> "CycMatrix":
         return CycMatrix(self.rows, self.cols, {i: dict(r) for i, r in self.data.items()})
 
-    def to_dense(self) -> list[list[CycNum]]:
-        return [[self.get(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
@@ -408,72 +408,57 @@ class CycMatrix:
 
     # -- elimination ----------------------------------------------------------
 
-    def _echelon(self) -> tuple[list[list[CycNum]], list[int]]:
-        """Fraction-free (Bareiss-style) elimination; returns the worked array
-        and the pivot column list."""
-        a = self.to_dense()
-        rows, cols = self.rows, self.cols
-        pivots: list[int] = []
-        prev = one()
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            p = next((i for i in range(r, rows) if not a[i][c].is_zero()), None)
-            if p is None:
-                continue
-            a[r], a[p] = a[p], a[r]
-            for i in range(r + 1, rows):
-                if all(a[i][j].is_zero() for j in range(c, cols)):
-                    continue
-                for j in range(c + 1, cols):
-                    a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) / prev
-                a[i][c] = zero()
-            prev = a[r][c]
-            pivots.append(c)
-            r += 1
-        return a, pivots
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(echelon_rows(self.data[i] for i in sorted(self.data)))
 
     def kernel_basis(self) -> "CycMatrix":
-        """Columns form a basis of the right kernel (cols x nullity)."""
-        a, pivots = self._echelon()
+        """Columns form a basis of the right kernel (cols x nullity): one
+        column per free column, back-substituted through the monic pivot rows."""
+        pivots = echelon_rows(self.data[i] for i in sorted(self.data))
         free = [c for c in range(self.cols) if c not in pivots]
         basis = CycMatrix(self.cols, len(free))
         for k, fc in enumerate(free):
-            vec = [zero() for _ in range(self.cols)]
-            vec[fc] = one()
-            # back-substitute in echelon order
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
+            vec = {fc: one()}
+            for pc in sorted(pivots, reverse=True):
                 s = zero()
-                for c in range(pc + 1, self.cols):
-                    if not a[r][c].is_zero() and not vec[c].is_zero():
-                        s = s + a[r][c] * vec[c]
-                vec[pc] = -s / a[r][pc]
-            for i, v in enumerate(vec):
+                for c, val in pivots[pc].items():
+                    if c != pc and c in vec:
+                        s = s + val * vec[c]
+                if not s.is_zero():
+                    vec[pc] = -s
+            for i, v in vec.items():
                 basis.set(i, k, v)
         return basis
 
 
-def rank(m: CycMatrix) -> int:
-    return m.rank()
+def echelon_rows(rows: Iterable[dict[int, CycNum]]) -> dict[int, dict[int, CycNum]]:
+    """Sparse pivot-row elimination, the one exact elimination of the package.
 
-
-def kernel_basis(m: CycMatrix) -> CycMatrix:
-    return m.kernel_basis()
-
-
-def span_rank(vectors: Iterable[dict[int, CycNum]], dim: int) -> int:
-    """Rank of a set of sparse coordinate vectors inside a dim-dimensional space."""
-    vecs = list(vectors)
-    m = CycMatrix(len(vecs), dim)
-    for i, v in enumerate(vecs):
-        for j, c in v.items():
-            m.set(i, j, c)
-    return m.rank()
+    Each sparse row vector is reduced against the pivot rows kept so far; a
+    remainder that survives becomes a new pivot row, scaled to be monic, so
+    every pivot costs one inversion.  Returns the pivot rows keyed by their
+    pivot (least) column; their count is the rank of the input rows, and no
+    pivot row has an entry left of its pivot.  The input rows are not changed.
+    """
+    by_pivot: dict[int, dict[int, CycNum]] = {}
+    for vec in rows:
+        vec = dict(vec)
+        while vec:
+            piv = min(vec)
+            bvec = by_pivot.get(piv)
+            if bvec is None:
+                scale = vec[piv].inv()
+                by_pivot[piv] = {j: val * scale for j, val in vec.items()}
+                break
+            coef = vec[piv]
+            for j, val in bvec.items():
+                prev = vec.get(j)
+                cur = -(coef * val) if prev is None else prev - coef * val
+                if cur.is_zero():
+                    vec.pop(j, None)
+                else:
+                    vec[j] = cur
+    return by_pivot
 
 
 def parse_cyc(text: str) -> CycNum:

@@ -11,9 +11,10 @@ preserve the product of the degrees along a basis tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import count, islice
+from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, one, zero
+from .cyclotomic import CycMatrix, CycNum, echelon_rows, one, zero
 from .errors import InputError, ResourceCapError
 from .ydmod import YDModule
 
@@ -160,6 +161,26 @@ def kron(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     return out
 
 
+def _phi_levels(v: YDModule, w: YDModule) -> Iterator[CycMatrix]:
+    """phi_1, phi_2, ... (see ``phi_operator``), each level built once from
+    the one before.  Callers check the cap."""
+    inner: Optional[CycMatrix] = None
+    for m in count(1):
+        factors = (v,) * m + (w,)
+        ident = CycMatrix.identity(BraidedTensor(factors).dim)
+        # double braiding moving slot 1 to the end and back
+        slots = list(range(1, m + 1)) + list(range(m, 0, -1))
+        big, final = compose_chain(factors, slots)
+        if final != factors:
+            raise InputError("braiding chain does not return to the standard order")
+        out = ident - big
+        if inner is not None:
+            c12, _ = compose_chain(factors, [1])
+            out = out + kron(CycMatrix.identity(v.dim), inner) @ c12
+        yield out
+        inner = out
+
+
 def phi_operator(
     v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP
 ) -> CycMatrix:
@@ -168,21 +189,8 @@ def phi_operator(
     with phi_1 = id - c^2 at the first two slots."""
     if m < 1:
         raise InputError("m must be >= 1")
-    factors = (v,) * m + (w,)
-    space = BraidedTensor(factors)
-    _check_cap(space.dim, cap)
-    ident = CycMatrix.identity(space.dim)
-    # double braiding moving slot 1 to the end and back
-    slots = list(range(1, m + 1)) + list(range(m, 0, -1))
-    big, final = compose_chain(factors, slots)
-    if final != factors:
-        raise InputError("braiding chain does not return to the standard order")
-    out = ident - big
-    if m > 1:
-        inner = phi_operator(v, w, m - 1, cap)
-        c12, _ = compose_chain(factors, [1])
-        out = out + kron(CycMatrix.identity(v.dim), inner) @ c12
-    return out
+    _check_cap(v.dim**m * w.dim, cap)
+    return next(islice(_phi_levels(v, w), m - 1, None))
 
 
 def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
@@ -274,38 +282,16 @@ def adjoint_power_report(
     }
 
 
-def _reduce_to_basis(vectors: list[dict[int, CycNum]]) -> list[dict[int, CycNum]]:
-    """Echelonized independent subset of sparse coordinate vectors."""
-    by_pivot: dict[int, dict[int, CycNum]] = {}
-    for vec in vectors:
-        vec = dict(vec)
-        while vec:
-            piv = min(vec)
-            bvec = by_pivot.get(piv)
-            if bvec is None:
-                by_pivot[piv] = vec
-                break
-            coef = vec[piv] / bvec[piv]
-            for j, val in bvec.items():
-                cur = vec.get(j, zero()) - coef * val
-                if cur.is_zero():
-                    vec.pop(j, None)
-                else:
-                    vec[j] = cur
-    return [by_pivot[p] for p in sorted(by_pivot)]
-
-
 def x_space_dim(
     v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP
 ) -> int:
     """Dimension of the iterated image X_m = phi_m(V (x) X_{m-1}), X_0 = W."""
     if m < 0:
         raise InputError("m must be >= 0")
+    if m:
+        _check_cap(v.dim**m * w.dim, cap)
     basis: list[dict[int, CycNum]] = [{j: one()} for j in range(w.dim)]
-    for k in range(1, m + 1):
-        space_dim = v.dim**k * w.dim
-        _check_cap(space_dim, cap)
-        phi = phi_operator(v, w, k, cap)
+    for k, phi in enumerate(islice(_phi_levels(v, w), m), start=1):
         cols: dict[int, list[tuple[int, CycNum]]] = {}
         for r, j, val in phi.iter_entries():
             cols.setdefault(j, []).append((r, val))
@@ -323,5 +309,6 @@ def x_space_dim(
                             img[r] = cur
                 if img:
                     images.append(img)
-        basis = _reduce_to_basis(images)
+        pivots = echelon_rows(images)
+        basis = [pivots[p] for p in sorted(pivots)]
     return len(basis)

@@ -146,6 +146,14 @@ def test_adjoint_bad_spec_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", "3", '"diagonal"'])
+def test_adjoint_non_object_spec_exit2(capsys, tmp_path, top):
+    path = tmp_path / "top.json"
+    path.write_text(top)
+    code, _ = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert code == 2
+
+
 def test_certify_nc(capsys):
     code, out = run(capsys, "certify", "--catalog", "Z_3^{3,2}", "--orbit-v", "4,5")
     assert code == 0

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import cyclotomic as C
-from qnichols.errors import InputError
+from qnichols.errors import InputError, InvariantViolationError
 
 
 def test_phi_polys():
@@ -14,6 +15,14 @@ def test_phi_polys():
     assert C.cyclotomic_poly(4) == (1, 0, 1)
     assert C.cyclotomic_poly(6) == (1, -1, 1)
     assert C.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_poly_divexact_rejects_a_remainder():
+    assert C._poly_divexact([1, 0, -1], [-1, 1]) == [-1, -1]
+    with pytest.raises(InvariantViolationError):
+        C._poly_divexact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
+    with pytest.raises(InvariantViolationError):
+        C._poly_divexact([0, 1], [0, 2])  # leading coefficient not divisible
 
 
 def test_zeta4_squared():
@@ -107,24 +116,81 @@ def test_rank_transpose_and_product_bound():
     assert (m @ n).rank() <= min(m.rank(), n.rank())
 
 
-small_matrices = st.builds(
-    lambda n, entries: C.CycMatrix.from_rows(
-        [
-            [C.CycNum(n, [entries[3 * i + j]]) * C.CycNum.zeta(n, entries[3 * j + i]) for j in range(3)]
-            for i in range(3)
-        ]
-    ),
-    st.sampled_from([1, 3, 4]),
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=9, max_size=9),
-)
+@st.composite
+def small_matrices(draw, rows=None, cols=None):
+    """Matrices up to 4 x 5 whose entries are small integers times roots of
+    unity of conductor 1, 3, 4, 5 or 8, mixing up to two conductors.  Some
+    rows are combinations of the others, so ranks often fall short of full."""
+    rows = draw(st.integers(min_value=1, max_value=4)) if rows is None else rows
+    cols = draw(st.integers(min_value=1, max_value=5)) if cols is None else cols
+    conductors = draw(
+        st.lists(st.sampled_from([1, 3, 4, 5, 8]), min_size=1, max_size=2, unique=True)
+    )
+    entry = st.builds(
+        lambda n, c, k: C.CycNum(n, [c]) * C.CycNum.zeta(n, k),
+        st.sampled_from(conductors),
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=0, max_value=7),
+    )
+    free = draw(st.integers(min_value=0, max_value=rows))
+    out = [[draw(entry) for _ in range(cols)] for _ in range(free)]
+    for _ in range(rows - free):
+        weights = [draw(entry) for _ in range(free)]
+        out.append([sum((w * r[j] for w, r in zip(weights, out)), C.zero()) for j in range(cols)])
+    order = draw(st.permutations(range(rows)))
+    return C.CycMatrix.from_rows([out[i] for i in order])
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrices, small_matrices)
-def test_rank_properties_random(a, b):
+@given(small_matrices(), st.data())
+def test_rank_properties_random(a, data):
+    b = data.draw(small_matrices(rows=a.cols))
     assert a.rank() == a.transpose().rank()
     assert (a @ b).rank() <= min(a.rank(), b.rank())
     assert a.rank() + a.kernel_basis().cols == a.cols
+
+
+def _det(m: list[list[C.CycNum]]) -> C.CycNum:
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return C.one()
+    total = C.zero()
+    for j, a in enumerate(m[0]):
+        if not a.is_zero():
+            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+            term = a * _det(minor)
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def minor_rank(m: C.CycMatrix) -> int:
+    """The largest k with a nonzero k x k minor: a rank that does no elimination."""
+    dense = [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in combinations(range(m.rows), k):
+            for cs in combinations(range(m.cols), k):
+                if not _det([[dense[i][j] for j in cs] for i in rs]).is_zero():
+                    return k
+    return 0
+
+
+def test_minor_rank_oracle_itself():
+    z = C.CycNum.zeta(3)
+    assert minor_rank(C.CycMatrix(3, 2)) == 0
+    assert minor_rank(C.CycMatrix.identity(4)) == 4
+    assert minor_rank(C.CycMatrix.from_rows([[1, z], [z * z, 1]])) == 1
+    assert _det([[C.one(), C.one()], [C.one(), C.CycNum.rational(-1)]]) == -2
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_rank_and_kernel_match_minor_oracle(m):
+    r = minor_rank(m)
+    assert m.rank() == r
+    ker = m.kernel_basis()
+    assert (ker.rows, ker.cols) == (m.cols, m.cols - r)
+    assert (m @ ker).is_zero()
+    assert minor_rank(ker) == ker.cols
 
 
 def test_rank_kernel_dims_sum():
