@@ -98,6 +98,12 @@ def cmd_charseqs(args) -> int:
     return 0
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be a JSON object")
+    return value
+
+
 def _build_group(spec) -> envgroup.FinGroup:
     if spec is None:
         raise InputError("module pair descriptor needs a 'group' or 'group_ref' entry")
@@ -109,7 +115,7 @@ def _build_group(spec) -> envgroup.FinGroup:
         if kind == "enveloping" and name:
             return envgroup.finite_enveloping_group(quandle.catalog(name)).group
         raise InputError(f"unknown group reference {spec!r}")
-    kind = spec.get("type")
+    kind = _object(spec, "group").get("type")
     if kind == "enveloping":
         return envgroup.finite_enveloping_group(quandle.catalog(spec["quandle"])).group
     if kind == "sl23":
@@ -130,26 +136,25 @@ def _resolve_element(group: envgroup.FinGroup, ref) -> int:
         raise InputError(f"unknown element name {ref!r}")
 
 
-def _build_module(group: envgroup.FinGroup, spec: dict) -> ydmod.YDModule:
+def _build_module(group: envgroup.FinGroup, spec, role: str) -> ydmod.YDModule:
+    spec = _object(spec, role)
     rep = _resolve_element(group, spec["class_rep"])
     character = {
         _resolve_element(group, k): cyclotomic.parse_cyc(v)
-        for k, v in spec.get("character", {}).items()
+        for k, v in _object(spec.get("character", {}), f"{role} character").items()
     }
     return ydmod.induced_module(group, rep, character)
 
 
 def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
     with open(path) as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise InputError("module pair descriptor must be a JSON object")
+        spec = _object(json.load(fh), "module pair descriptor")
     if "diagonal" in spec:
-        d = spec["diagonal"]
+        d = _object(spec["diagonal"], "diagonal")
         qs = [cyclotomic.parse_cyc(d[k]) for k in ("q11", "q12", "q21", "q22")]
         return ydmod.diagonal_pair(*qs)
     group = _build_group(spec.get("group_ref", spec.get("group")))
-    return _build_module(group, spec["V"]), _build_module(group, spec["W"])
+    return _build_module(group, spec["V"], "V"), _build_module(group, spec["W"], "W")
 
 
 def cmd_adjoint(args) -> int:

@@ -464,6 +464,8 @@ def echelon_rows(rows: Iterable[dict[int, CycNum]]) -> dict[int, dict[int, CycNu
 def parse_cyc(text: str) -> CycNum:
     """Parse scalar literals: integers, a/b rationals, zN / zN^k roots of unity,
     and '*'-separated products of those, e.g. ``-1``, ``z3^2``, ``1/2*z8``."""
+    if not isinstance(text, str):
+        raise InputError(f"scalar must be a string, got {text!r}")
     text = text.strip().replace(" ", "")
     if not text:
         raise InputError("empty scalar")

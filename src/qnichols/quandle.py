@@ -8,6 +8,7 @@ A quandle on {1..n} is stored as an n x n table with ``table[i-1][j-1] = i > j``
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -46,6 +47,8 @@ class Quandle:
     def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
         self.table = tuple(tuple(row) for row in table)
         self.n = len(self.table)
+        if self.n < 1:
+            raise InputError("quandle size must be positive")
         if check and not is_quandle(self.table):
             raise InputError("table does not satisfy the quandle axioms")
 
@@ -403,6 +406,27 @@ def match_catalog(q: Quandle) -> Optional[str]:
     return None
 
 
+def affine_quandle(n: int, a: int) -> Quandle:
+    """Aff(n, a) on Z_n, labeled 1..n: x > y = a y + (1 - a) x (mod n)."""
+    return Quandle(
+        [[(a * y + (1 - a) * x) % n + 1 for y in range(n)] for x in range(n)]
+    )
+
+
+def connected_quandles(n: int) -> list[Quandle]:
+    """One quandle from each isomorphism class of connected quandles of size n.
+
+    For n <= 6 these are the catalog indecomposables; for n = 7 they are
+    Aff(7, a), a = 2..6, since every connected quandle of prime order is
+    affine (Etingof-Soloviev-Guralnick 2001)."""
+    if not 1 <= n <= 7:
+        raise InputError("connected quandles are known here for sizes 1..7 only")
+    if n == 7:
+        return [affine_quandle(7, a) for a in range(2, 7)]
+    pieces = (catalog(name) for name in INDECOMPOSABLE_NAMES)
+    return [q for q in pieces if q.n == n]
+
+
 def eq_permutations_quandle(n: int) -> Quandle:
     """The two-orbit normal form on {1..2n}: phi_i cycles the opposite block."""
     table = []
@@ -475,24 +499,32 @@ def _perms_fixing(n: int, fixed: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_quandles(n: int) -> Iterator[Quandle]:
-    """Yield every labeled quandle on {1..n}.
+def _row_search(candidates: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[tuple]:
+    """Yield every self-distributive table whose rows come from the
+    candidate lists, in lexicographic order of the lists.
 
-    Rows phi_i are assigned depth-first; self-distributivity is enforced by
-    propagating the conjugation constraint phi_{i>j} = phi_i phi_j phi_i^{-1}
-    whenever both sides become determined, which prunes most of the tree.
+    Each candidate row must be a permutation fixing its own index.  Rows are
+    assigned depth-first; self-distributivity is enforced by propagating the
+    conjugation constraint phi_{i>j} = phi_i phi_j phi_i^{-1} whenever both
+    sides become determined, which prunes most of the tree.  A forced row is
+    not looked up in its list, so each list must hold every row the
+    constraint can force on its index.
     """
-    if n < 1:
-        raise InputError("size must be positive")
-    candidates = {i: _perms_fixing(n, i) for i in range(1, n + 1)}
+    n = len(candidates)
     rows: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
+    inverses: list[Optional[list[int]]] = [None] * (n + 1)
 
-    def compose_conj(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        # a b a^{-1} as one-line maps
+    def set_row(k: int, row: tuple[int, ...]) -> None:
+        rows[k] = row
         inv = [0] * n
-        for idx, v in enumerate(a):
+        for idx, v in enumerate(row):
             inv[v - 1] = idx + 1
-        return tuple(a[b[inv[j - 1] - 1] - 1] for j in range(1, n + 1))
+        inverses[k] = inv
+
+    def conj(a: int, b: int) -> tuple[int, ...]:
+        # phi_a phi_b phi_a^{-1} as a one-line map
+        ra, rb, inv = rows[a], rows[b], inverses[a]
+        return tuple(ra[rb[inv[j] - 1] - 1] for j in range(n))
 
     def propagate(assigned: list[int]) -> Optional[list[int]]:
         """Close the partial assignment; returns newly forced row indices or None on clash."""
@@ -504,17 +536,17 @@ def enumerate_quandles(n: int) -> Iterator[Quandle]:
                 if rows[j] is None:
                     continue
                 for a, b in ((i, j), (j, i)):
-                    ra, rb = rows[a], rows[b]
-                    k = ra[b - 1]
-                    want = compose_conj(ra, rb)
-                    if rows[k] is None:
-                        rows[k] = want
-                        added.append(k)
-                        queue.append(k)
-                    elif rows[k] != want:
+                    k = rows[a][b - 1]
+                    want = conj(a, b)
+                    if rows[k] == want:
+                        continue
+                    if rows[k] is not None:
                         for idx in added:
                             rows[idx] = None
                         return None
+                    set_row(k, want)
+                    added.append(k)
+                    queue.append(k)
         return added
 
     def first_unassigned() -> int:
@@ -523,13 +555,13 @@ def enumerate_quandles(n: int) -> Iterator[Quandle]:
                 return i
         return 0
 
-    def search() -> Iterator[Quandle]:
+    def search() -> Iterator[tuple]:
         i = first_unassigned()
         if i == 0:
-            yield Quandle([rows[k] for k in range(1, n + 1)], check=False)
+            yield tuple(rows[1:])
             return
-        for cand in candidates[i]:
-            rows[i] = cand
+        for cand in candidates[i - 1]:
+            set_row(i, cand)
             added = propagate([i])
             if added is not None:
                 yield from search()
@@ -538,6 +570,182 @@ def enumerate_quandles(n: int) -> Iterator[Quandle]:
             rows[i] = None
 
     yield from search()
+
+
+def enumerate_quandles(n: int) -> Iterator[Quandle]:
+    """Yield every labeled quandle on {1..n}, in lexicographic order of tables."""
+    if n < 1:
+        raise InputError("size must be positive")
+    candidates = [_perms_fixing(n, i) for i in range(1, n + 1)]
+    for rows in _row_search(candidates):
+        yield Quandle(rows, check=False)
+
+
+def automorphisms(q: Quandle) -> list[tuple[int, ...]]:
+    """Every automorphism of q as a one-line map, in lexicographic order.
+
+    Images are chosen for the least unmapped element; each choice is closed
+    under f(a>b) = f(a)>f(b) before the next one."""
+    n, t = q.n, q.table
+    image = [0] * (n + 1)
+    used = [False] * (n + 1)
+    out: list[tuple[int, ...]] = []
+
+    def assign(x: int, y: int, trail: list[int]) -> bool:
+        queue = [(x, y)]
+        while queue:
+            a, fa = queue.pop()
+            if image[a]:
+                if image[a] != fa:
+                    return False
+                continue
+            if used[fa]:
+                return False
+            image[a], used[fa] = fa, True
+            trail.append(a)
+            for b in range(1, n + 1):
+                fb = image[b]
+                if fb:
+                    queue.append((t[a - 1][b - 1], t[fa - 1][fb - 1]))
+                    queue.append((t[b - 1][a - 1], t[fb - 1][fa - 1]))
+        return True
+
+    def extend() -> None:
+        x = next((a for a in range(1, n + 1) if not image[a]), 0)
+        if x == 0:
+            out.append(tuple(image[1:]))
+            return
+        for y in range(1, n + 1):
+            if used[y]:
+                continue
+            trail: list[int] = []
+            if assign(x, y, trail):
+                extend()
+            for a in trail:
+                used[image[a]] = False
+                image[a] = 0
+
+    extend()
+    return out
+
+
+def _cycles_in_label_order(lengths: Sequence[int]) -> tuple[int, ...]:
+    """The 0-indexed permutation with cycles (s, s+1, ..., s+l-1) on
+    consecutive labels, one per length in the given order."""
+    row: list[int] = []
+    for length in lengths:
+        start = len(row)
+        row += [start + (k + 1) % length for k in range(length)]
+    return tuple(row)
+
+
+def canonical_table(q: Quandle) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically least table among all relabelings of q.
+
+    Two quandles are isomorphic exactly when their canonical tables agree.
+    Row 1 of a relabeled table is the translation of the element labeled 1,
+    so the least row 1 lays that translation's cycles on consecutive labels,
+    shortest first, and only elements whose cycle type gives the least such
+    row can take label 1.  What is left to choose is which cycle fills each
+    block of labels and where it starts.  Rows 2..n are scanned in order: a
+    value whose cycle has no labels yet takes the least label it can get (its
+    cycle fills the first free block of its length), and the search branches
+    only where a row or a column needs a label no earlier entry fixed.  A
+    branch stops as soon as its prefix exceeds the least table found so far.
+    """
+    n = q.n
+    t = [[v - 1 for v in row] for row in q.table]
+    types = [perm_cycle_type(row) for row in q.table]
+    first_rows = {ls: _cycles_in_label_order(ls) for ls in types}
+    lengths = min(first_rows, key=first_rows.__getitem__)
+    first = first_rows[lengths]
+    block_start: list[int] = []
+    block_len: list[int] = []
+    for length in lengths:
+        block_start += [len(block_start)] * length
+        block_len += [length] * length
+    cur = list(first) + [0] * (n * n - n)
+    best: Optional[list[int]] = None
+
+    for u1 in range(n):
+        if types[u1] != lengths:
+            continue
+        phi = t[u1]
+        cyclen = [0] * n
+        for v in range(n):
+            w, cyclen[v] = phi[v], 1
+            while w != v:
+                w, cyclen[v] = phi[w], cyclen[v] + 1
+        label = [-1] * n  # label of each element
+        at = [-1] * n  # element carrying each label
+        free: dict[int, list[int]] = {}
+        for s in sorted(set(block_start)):
+            free.setdefault(block_len[s], []).append(s)
+
+        def place(v: int, start: int) -> None:
+            free[block_len[start]].remove(start)
+            for k in range(start, start + block_len[start]):
+                label[v], at[k] = k, v
+                v = phi[v]
+
+        def unplace(start: int) -> None:
+            for k in range(start, start + block_len[start]):
+                label[at[k]] = at[k] = -1
+            insort(free[block_len[start]], start)
+
+        def scan(p: int, smaller: bool) -> None:
+            nonlocal best
+            placed: list[int] = []
+            while p < n * n:
+                i, j = divmod(p, n)
+                need = i if at[i] < 0 else j if at[j] < 0 else -1
+                if need >= 0:
+                    # once a sibling sets best, its prefix ties with cur[:p]
+                    entry_best = best
+                    start = block_start[need]
+                    for w in range(n):
+                        if label[w] < 0 and cyclen[w] == block_len[start]:
+                            place(w, start)
+                            scan(p, smaller and best is entry_best)
+                            unplace(start)
+                    break
+                v = t[at[i]][at[j]]
+                if label[v] < 0:
+                    start = free[cyclen[v]][0]
+                    place(v, start)
+                    placed.append(start)
+                if not smaller and best is not None:
+                    if label[v] > best[p]:
+                        break
+                    smaller = label[v] < best[p]
+                cur[p] = label[v]
+                p += 1
+            else:
+                best = cur[:]
+            for start in reversed(placed):
+                unplace(start)
+
+        place(u1, 0)
+        scan(n, False)
+
+    return tuple(tuple(v + 1 for v in best[r * n : (r + 1) * n]) for r in range(n))
+
+
+def glued_quandles(a: Quandle, b: Quandle) -> Iterator[Quandle]:
+    """Quandles on {1..|a|+|b|} restricting to a on {1..|a|} and to b on the
+    rest (shifted by |a|), with both blocks invariant under every translation.
+
+    Such a translation is a translation of its own block plus an automorphism
+    of the other block, so these rows are the candidate lists of the row
+    search.
+    """
+    na = a.n
+    aut_a = automorphisms(a)
+    aut_b = [tuple(v + na for v in g) for g in automorphisms(b)]
+    candidates = [[a.row(x) + g for g in aut_b] for x in a.elements()]
+    candidates += [[g + tuple(v + na for v in b.row(y)) for g in aut_a] for y in b.elements()]
+    for rows in _row_search(candidates):
+        yield Quandle(rows, check=False)
 
 
 def iso_class_representatives(quandles: Iterable[Quandle]) -> list[Quandle]:

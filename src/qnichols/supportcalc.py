@@ -21,8 +21,12 @@ from .errors import InputError, ResourceCapError
 from .quandle import (
     Quandle,
     Z_QUANDLE_NAMES,
+    automorphisms,
+    canonical_table,
     catalog,
+    connected_quandles,
     enumerate_quandles,
+    glued_quandles,
     inner_orbits,
     is_commutative_subset,
     is_crossed_set,
@@ -404,17 +408,45 @@ def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
 
 def two_orbit_candidates(n_max: int) -> list[Quandle]:
     """Isomorphism-class representatives of crossed-set quandles of size
-    <= n_max with exactly two inner orbits."""
+    <= n_max with exactly two inner orbits, sorted by size and then by table;
+    each representative is its class's canonical (least) table.
+
+    Each candidate X = A u B is glued from its two inner orbits A and B,
+    |A| <= |B|.  An orbit is a crossed-set subquandle on which Inn(X) acts
+    transitively by automorphisms, so it is homogeneous.  When |A| = 1 the
+    crossed-set law forces the point to act trivially on B, so B is one of
+    the connected quandles.  Otherwise both pieces have size <= n - 2 and
+    come from the labeled census of that size.
+    """
     if n_max > 8:
         raise ResourceCapError("census bounded at size 8")
+    pieces: dict[int, list[Quandle]] = {}
+
+    def homogeneous_pieces(k: int) -> list[Quandle]:
+        if k not in pieces:
+            crossed = [q for q in enumerate_quandles(k) if is_crossed_set(q)]
+            pieces[k] = [
+                q
+                for q in iso_class_representatives(crossed)
+                if {g[0] for g in automorphisms(q)} == set(q.elements())
+            ]
+        return pieces[k]
+
+    point = catalog("trivial(1)")
     out: list[Quandle] = []
     for n in range(2, n_max + 1):
-        labeled = [
-            q
-            for q in enumerate_quandles(n)
+        splits = [(point, b) for b in connected_quandles(n - 1)]
+        for k in range(2, n // 2 + 1):
+            small, large = homogeneous_pieces(k), homogeneous_pieces(n - k)
+            for i, a in enumerate(small):
+                splits += [(a, b) for b in (large[i:] if k == n - k else large)]
+        tables = {
+            canonical_table(q)
+            for a, b in splits
+            for q in glued_quandles(a, b)
             if len(inner_orbits(q)) == 2 and is_crossed_set(q)
-        ]
-        out.extend(iso_class_representatives(labeled))
+        }
+        out.extend(Quandle(t, check=False) for t in sorted(tables))
     return out
 
 
@@ -576,6 +608,8 @@ def classify(
 
     Extra survivors (not isomorphic to a catalog quandle) are flagged and run
     through the group-level post-filter instead of being silently dropped."""
+    if n_max < 1:
+        raise InputError("n_max must be positive")
     if n_max > 8:
         raise ResourceCapError("classification census bounded at size 8")
     if branch not in ("both", "comm", "nc"):

@@ -166,8 +166,10 @@ def double_braiding(v: YDModule, w: YDModule) -> CycMatrix:
 
 def abelian_group(orders: Sequence[int]) -> FinGroup:
     """Direct product of cyclic groups as a FinGroup (identity = all zeros)."""
-    if not orders or any(n < 1 for n in orders):
-        raise InputError("orders must be positive")
+    if not isinstance(orders, (list, tuple)) or not orders or any(
+        not isinstance(n, int) or n < 1 for n in orders
+    ):
+        raise InputError("orders must be a nonempty list of positive integers")
     total = 1
     for n in orders:
         total *= n

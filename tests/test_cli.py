@@ -61,6 +61,14 @@ def test_quandle_malformed_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["0\n", '{"size": 0, "table": []}'])
+def test_quandle_empty_file_exit2(capsys, tmp_path, text):
+    path = tmp_path / "empty.qnd"
+    path.write_text(text)
+    code, _ = run(capsys, "quandle", "--file", str(path))
+    assert code == 2
+
+
 def test_envgroup_a4(capsys):
     code, out = run(capsys, "envgroup", "--catalog", "(123)^A4")
     assert code == 0
@@ -154,6 +162,38 @@ def test_adjoint_non_object_spec_exit2(capsys, tmp_path, top):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"group_ref": "enveloping:(12)^S3", "V": 3, "W": 3},
+        {"diagonal": [1]},
+        {
+            "group_ref": "enveloping:(12)^S3",
+            "V": {"class_rep": "x1", "character": "abc"},
+            "W": {"class_rep": "x1", "character": {"x1": "-1"}},
+        },
+        {"diagonal": {"q11": 3, "q12": "1", "q21": "1", "q22": "-1"}},
+        {
+            "group": {"type": "abelian", "orders": "ab"},
+            "V": {"class_rep": 0},
+            "W": {"class_rep": 0},
+        },
+    ],
+    ids=[
+        "module-number",
+        "diagonal-list",
+        "character-string",
+        "scalar-number",
+        "orders-string",
+    ],
+)
+def test_adjoint_non_object_nested_spec_exit2(capsys, tmp_path, spec):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(spec))
+    code, _ = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert code == 2
+
+
 def test_certify_nc(capsys):
     code, out = run(capsys, "certify", "--catalog", "Z_3^{3,2}", "--orbit-v", "4,5")
     assert code == 0
@@ -197,3 +237,8 @@ def test_classify_deterministic_bytes(capsys):
 def test_classify_cap_exit3(capsys):
     code, _ = run(capsys, "classify", "--n-max", "9")
     assert code == 3
+
+
+def test_classify_nonpositive_n_max_exit2(capsys):
+    code, _ = run(capsys, "classify", "--n-max", "-3")
+    assert code == 2

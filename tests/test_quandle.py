@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
 from qnichols.errors import InputError
+from qnichols.supportcalc import two_orbit_candidates
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -218,3 +221,78 @@ def test_size3_crossed_sets_are_trivial_or_s3():
         if Q.is_commutative_subset(q, q.elements()):
             continue
         assert Q.isomorphic(q, Q.catalog("(12)^S3")) is not None
+
+
+def test_empty_quandle_rejected():
+    with pytest.raises(InputError):
+        Q.Quandle.from_text("0\n")
+    with pytest.raises(InputError):
+        Q.Quandle.from_json_dict({"size": 0, "table": []})
+
+
+def _relabel(q: Q.Quandle, f) -> tuple:
+    """The table of q with element i renamed f[i-1]."""
+    table = [[0] * q.n for _ in q.elements()]
+    for i in q.elements():
+        for j in q.elements():
+            table[f[i - 1] - 1][f[j - 1] - 1] = f[q.op(i, j) - 1]
+    return tuple(map(tuple, table))
+
+
+@lru_cache(maxsize=None)
+def _two_orbit_census(n_max: int) -> tuple:
+    return tuple(two_orbit_candidates(n_max))
+
+
+def test_canonical_table_is_brute_force_minimum():
+    from itertools import permutations
+
+    census = [q for n in range(1, 6) for q in Q.iso_class_representatives(Q.enumerate_quandles(n))]
+    # the glued two-orbit classes of size 6, over all of S_6
+    census += [q for q in _two_orbit_census(7) if q.n == 6]
+    for q in census + [q for q in CATALOG if q.n <= 5]:
+        brute = min(_relabel(q, f) for f in permutations(q.elements()))
+        assert Q.canonical_table(q) == brute, q
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_table_invariant_under_relabeling(data):
+    # the census deduplicates the glued quandles of sizes 6-8 by this table
+    pool = CATALOG + [Q.affine_quandle(7, 3)] + list(_two_orbit_census(7))
+    q = data.draw(st.sampled_from(pool))
+    f = data.draw(st.permutations(list(q.elements())))
+    relabeled = Q.Quandle(_relabel(q, f))
+    assert Q.canonical_table(relabeled) == Q.canonical_table(q)
+    assert Q.isomorphic(q, Q.Quandle(Q.canonical_table(q))) is not None
+
+
+def test_automorphisms_match_brute_force_on_catalog():
+    from itertools import permutations
+
+    for q in CATALOG:
+        brute = [f for f in permutations(q.elements()) if _relabel(q, f) == q.table]
+        assert Q.automorphisms(q) == brute
+
+
+def test_affine_order7_connected_and_pairwise_distinct():
+    affs = Q.connected_quandles(7)
+    assert len(affs) == 5
+    for q in affs:
+        assert Q.is_quandle(q.table) and Q.is_crossed_set(q) and Q.is_indecomposable(q)
+    assert len({Q.canonical_table(q) for q in affs}) == 5
+    assert Q.affine_quandle(5, 4) == Q.catalog("Aff(5,4)")
+
+
+def test_connected_quandles_are_the_catalog_indecomposables():
+    names = {n: {Q.match_catalog(q) for q in Q.connected_quandles(n)} for n in range(1, 7)}
+    assert names == {
+        1: {"trivial(1)"},
+        2: set(),
+        3: {"(12)^S3"},
+        4: {"(123)^A4"},
+        5: {"Aff(5,2)", "Aff(5,3)", "Aff(5,4)"},
+        6: {"(12)^S4", "(1234)^S4"},
+    }
+    with pytest.raises(InputError):
+        Q.connected_quandles(8)

@@ -1,5 +1,6 @@
 import pytest
 
+from qnichols import quandle as Q
 from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
 from qnichols.quandle import Quandle, catalog
@@ -354,9 +355,42 @@ def test_classify_n5_rejects_carry_witnesses():
         assert r["witness"] is not None
 
 
+def test_two_orbit_candidates_match_labeled_census():
+    # oracle: every labeled quandle, the orbit and crossed-set filter, then
+    # first-seen class representatives
+    labeled_path = []
+    for n in range(2, 7):
+        two_orbit = [
+            q
+            for q in Q.enumerate_quandles(n)
+            if len(Q.inner_orbits(q)) == 2 and Q.is_crossed_set(q)
+        ]
+        labeled_path += Q.iso_class_representatives(two_orbit)
+    glued = S.two_orbit_candidates(6)
+    assert [q.table for q in glued] == [q.table for q in labeled_path]
+    assert [q.n for q in glued] == [2, 4, 4, 5, 5, 5] + [6] * 9
+
+
+def test_classify_n7():
+    # the labeled census gave these numbers at n = 7
+    assert sum(1 for q in S.two_orbit_candidates(7) if q.n == 7) == 8
+    rep = S.classify(n_max=7)
+    assert rep["candidates_examined"] == 46
+    assert [s["matched_catalog_name"] for s in rep["survivors"]] == [
+        "Z_2^{2,2}",
+        "Z_3^{3,1}",
+        "Z_3^{3,2}",
+        "Z_4^{4,2}",
+        "Z_T^{4,1}",
+    ]
+    assert rep["flagged"] == []
+
+
 def test_classify_nmax_cap():
     with pytest.raises(ResourceCapError):
         S.classify(n_max=9)
+    with pytest.raises(InputError):
+        S.classify(n_max=0)
     with pytest.raises(InputError):
         S.classify(n_max=4, branch="bogus")
 
