@@ -81,27 +81,72 @@ def cmd_envgroup(args) -> int:
 
 def cmd_charseqs(args) -> int:
     seqs = weyl.enumerate_charseqs(args.max_len)
-    records = [
-        {
-            "seq": list(s),
-            "witness": weyl.small_neighbor_witness(s),
-            "rotations": sorted(list(r) for r in weyl.CharSeq(s).rotations()),
-        }
-        for s in seqs
-    ]
-    if args.emit == "json":
-        _emit(records)
-    else:
-        for rec in records:
-            rotations = "|".join(" ".join(map(str, r)) for r in rec["rotations"])
-            print(f"{' '.join(map(str, rec['seq']))};{rec['witness']};{rotations}")
+    # every invariant check runs before the first byte, so a failure leaves stdout empty
+    witnesses = [weyl._witness(s) for s in seqs]
+    write = _write_charseqs_json if args.emit == "json" else _write_charseqs_csv
+    write(sys.stdout, seqs, witnesses)
     return 0
+
+
+def _rotation_blocks(seqs, format_block):
+    """Yield format_block(sorted rotations) for each sequence, formatting each
+    rotation class once: its members share the block, keyed by the least rotation."""
+    blocks: dict[tuple[int, ...], str] = {}
+    for seq in seqs:
+        rotations = weyl._rotations(seq)
+        key = min(rotations)
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = format_block(sorted(rotations))
+        yield block
+
+
+def _json_ints(values, indent: str) -> str:
+    """The items of a nonempty int array as json.dumps(indent=2) lays them out."""
+    return indent + (",\n" + indent).join(map(str, values))
+
+
+def _json_rotations(rotations) -> str:
+    return ",\n".join(f"      [\n{_json_ints(r, '        ')}\n      ]" for r in rotations)
+
+
+def _write_charseqs_json(out, seqs, witnesses) -> None:
+    """Write the records {"seq", "witness", "rotations"} one at a time, byte for
+    byte as print(json.dumps(records, sort_keys=True, indent=2)) would."""
+    if not seqs:
+        out.write("[]\n")
+        return
+    sep = "[\n"
+    for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _json_rotations)):
+        out.write(
+            f'{sep}  {{\n    "rotations": [\n{rotations}\n    ],\n'
+            f'    "seq": [\n{_json_ints(seq, "      ")}\n    ],\n'
+            f'    "witness": {witness}\n  }}'
+        )
+        sep = ",\n"
+    out.write("\n]\n")
+
+
+def _csv_rotations(rotations) -> str:
+    return "|".join(" ".join(map(str, r)) for r in rotations)
+
+
+def _write_charseqs_csv(out, seqs, witnesses) -> None:
+    """One line per sequence: entries;witness;rotations, rotations split by '|'."""
+    for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _csv_rotations)):
+        out.write(f"{' '.join(map(str, seq))};{witness};{rotations}\n")
 
 
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{what} must be a JSON object")
     return value
+
+
+def _field(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise InputError(f"{what} needs a {key!r} entry")
+    return spec[key]
 
 
 def _build_group(spec) -> envgroup.FinGroup:
@@ -117,11 +162,12 @@ def _build_group(spec) -> envgroup.FinGroup:
         raise InputError(f"unknown group reference {spec!r}")
     kind = _object(spec, "group").get("type")
     if kind == "enveloping":
-        return envgroup.finite_enveloping_group(quandle.catalog(spec["quandle"])).group
+        name = _field(spec, "quandle", "group")
+        return envgroup.finite_enveloping_group(quandle.catalog(name)).group
     if kind == "sl23":
         return envgroup.sl23()[0]
     if kind == "abelian":
-        return ydmod.abelian_group(spec["orders"])
+        return ydmod.abelian_group(_field(spec, "orders", "group"))
     raise InputError(f"unknown group type {kind!r}")
 
 
@@ -138,7 +184,7 @@ def _resolve_element(group: envgroup.FinGroup, ref) -> int:
 
 def _build_module(group: envgroup.FinGroup, spec, role: str) -> ydmod.YDModule:
     spec = _object(spec, role)
-    rep = _resolve_element(group, spec["class_rep"])
+    rep = _resolve_element(group, _field(spec, "class_rep", role))
     character = {
         _resolve_element(group, k): cyclotomic.parse_cyc(v)
         for k, v in _object(spec.get("character", {}), f"{role} character").items()
@@ -151,10 +197,14 @@ def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
         spec = _object(json.load(fh), "module pair descriptor")
     if "diagonal" in spec:
         d = _object(spec["diagonal"], "diagonal")
-        qs = [cyclotomic.parse_cyc(d[k]) for k in ("q11", "q12", "q21", "q22")]
+        keys = ("q11", "q12", "q21", "q22")
+        qs = [cyclotomic.parse_cyc(_field(d, k, "diagonal")) for k in keys]
         return ydmod.diagonal_pair(*qs)
     group = _build_group(spec.get("group_ref", spec.get("group")))
-    return _build_module(group, spec["V"], "V"), _build_module(group, spec["W"], "W")
+    return (
+        _build_module(group, _field(spec, "V", "module pair descriptor"), "V"),
+        _build_module(group, _field(spec, "W", "module pair descriptor"), "W"),
+    )
 
 
 def cmd_adjoint(args) -> int:
@@ -284,7 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc!r}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -379,6 +379,8 @@ def catalog_names() -> list[str]:
 
 def catalog(name: str) -> Quandle:
     """Return a catalog quandle by name; trivial quandles as ``trivial(n)``."""
+    if not isinstance(name, str):
+        raise InputError(f"catalog name must be a string, got {name!r}")
     norm = _normalize_name(name)
     if norm.startswith("trivial(") and norm.endswith(")"):
         try:

@@ -9,10 +9,11 @@ that closure, with a brute-force DFS as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceCapError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -37,13 +38,14 @@ def is_characteristic(seq: Sequence[int]) -> bool:
     proper prefix products."""
     if not seq or any(c < 1 for c in seq):
         return False
-    m = ID2
-    for idx, c in enumerate(seq):
-        m = mat_mul(m, eta(c))
-        last = idx == len(seq) - 1
-        if not last and (m[0][0] < 0 or m[1][0] < 0):
+    # the running product ((a, b), (c, d)), multiplied by eta(x) in place
+    a, b, c, d = 1, 0, 0, 1
+    last = len(seq) - 1
+    for idx, x in enumerate(seq):
+        a, b, c, d = a * x + b, -a, c * x + d, -c
+        if idx < last and (a < 0 or c < 0):
             return False
-    return m == NEG_ID2
+    return (a, b, c, d) == (-1, 0, 0, -1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,12 @@ class CharSeq:
         return len(self.entries)
 
     def rotations(self) -> list[tuple[int, ...]]:
-        e = self.entries
-        return [e[k:] + e[:k] for k in range(len(e))]
+        return _rotations(self.entries)
+
+
+def _rotations(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The cyclic rotations of a tuple, without verifying it."""
+    return [entries[k:] + entries[:k] for k in range(len(entries))]
 
 
 def reduce_seq(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -94,22 +100,44 @@ def insert_inverse(seq: Sequence[int], position: int = 1) -> tuple[int, ...]:
     return (rot[0] + 1, 1, rot[1] + 1) + rot[2:]
 
 
+# Most characteristic sequences one enumeration may produce (all lengths).
+MAX_CHARSEQS = 300_000
+
+
+def _count_exceeds_cap(max_len: int) -> bool:
+    """Whether there are more than MAX_CHARSEQS sequences of length <= max_len.
+
+    Length k has Catalan(k - 2) of them (triangulations of a k-gon); the sum
+    stops as soon as it passes the cap, so any max_len is cheap to check.
+    """
+    total = 0
+    for k in range(3, max_len + 1):
+        total += math.comb(2 * (k - 2), k - 2) // (k - 1)
+        if total > MAX_CHARSEQS:
+            return True
+    return False
+
+
 def enumerate_charseqs(max_len: int) -> list[tuple[int, ...]]:
     """All characteristic sequences of length <= max_len.
 
     Closure of {(1,1,1)} under rotation and inverse reduction; every output is
-    re-verified, and sequences are deduplicated as plain tuples (rotations are
-    distinct members).
+    verified once, and sequences are deduplicated as plain tuples (rotations
+    are distinct members).
     """
-    if max_len > 20:
-        raise InputError("max_len must be <= 20")
+    if max_len < 1:
+        raise InputError("max_len must be >= 1")
+    if _count_exceeds_cap(max_len):
+        raise ResourceCapError(
+            f"more than {MAX_CHARSEQS} characteristic sequences of length <= {max_len}"
+        )
     found: set[tuple[int, ...]] = set()
     if max_len >= 3:
         frontier = {(1, 1, 1)}
         while frontier:
             new: set[tuple[int, ...]] = set()
             for seq in frontier:
-                for rot in CharSeq(seq).rotations():
+                for rot in _rotations(seq):
                     if rot not in found:
                         found.add(rot)
                         new.add(rot)
@@ -159,7 +187,11 @@ def small_neighbor_witness(seq: Sequence[int]) -> int:
     a sequence until such a pattern is exposed); absence would contradict the
     enumeration machinery and raises InvariantViolationError.
     """
-    entries = CharSeq(tuple(seq)).entries
+    return _witness(CharSeq(tuple(seq)).entries)
+
+
+def _witness(entries: tuple[int, ...]) -> int:
+    """small_neighbor_witness for a sequence already known to be characteristic."""
     n = len(entries)
     for i in range(n):
         if entries[i] != 1:

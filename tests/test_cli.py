@@ -1,8 +1,11 @@
 import json
+from functools import lru_cache
 
 import pytest
 
+from qnichols import supportcalc, weyl
 from qnichols.cli import main
+from qnichols.errors import InvariantViolationError
 from qnichols.quandle import catalog
 
 
@@ -126,6 +129,87 @@ def test_charseqs_csv(capsys):
     assert len(lines) == 3
 
 
+@lru_cache(maxsize=None)
+def reference_charseqs(max_len: int) -> list[tuple[int, ...]]:
+    # The DFS oracle takes about 45 s at length 9, so length 9 comes from the
+    # closure enumerator, which test_weyl checks against the DFS up to length 8
+    # and against the Catalan counts up to length 9.
+    if max_len <= 8:
+        return weyl.enumerate_charseqs_dfs(max_len)
+    return weyl.enumerate_charseqs(max_len)
+
+
+def old_charseqs_output(max_len: int, emit: str) -> str:
+    """stdout as the CLI built it before streaming: one record list, one dumps."""
+    records = []
+    for s in reference_charseqs(max_len):
+        rotations = sorted(list(s[k:] + s[:k]) for k in range(len(s)))
+        records.append(
+            {"seq": list(s), "witness": weyl.small_neighbor_witness(s), "rotations": rotations}
+        )
+    if emit == "json":
+        return json.dumps(records, sort_keys=True, indent=2) + "\n"
+    lines = []
+    for rec in records:
+        rotations = "|".join(" ".join(map(str, r)) for r in rec["rotations"])
+        lines.append(f"{' '.join(map(str, rec['seq']))};{rec['witness']};{rotations}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+@pytest.mark.parametrize("max_len", range(1, 10))
+def test_charseqs_streamed_output_matches_dumps(capsys, max_len, emit):
+    code, out = run(capsys, "charseqs", "--max-len", str(max_len), "--emit", emit)
+    assert code == 0
+    assert out == old_charseqs_output(max_len, emit)
+
+
+@pytest.mark.parametrize("max_len", ["-5", "0"])
+def test_charseqs_nonpositive_max_len_exit2(capsys, max_len):
+    code, out = run(capsys, "charseqs", "--max-len", max_len)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_len", ["1", "2"])
+def test_charseqs_below_length_3_is_empty(capsys, max_len):
+    assert run(capsys, "charseqs", "--max-len", max_len) == (0, "[]\n")
+    assert run(capsys, "charseqs", "--max-len", max_len, "--emit", "csv") == (0, "")
+
+
+@pytest.mark.parametrize("max_len", ["15", "21", str(10**9)])
+def test_charseqs_length_cap_exit3(capsys, max_len):
+    code, out = run(capsys, "charseqs", "--max-len", max_len)
+    assert code == 3
+    assert out == ""
+
+
+def _reject_2121(is_characteristic):
+    return lambda seq: tuple(seq) != (2, 1, 2, 1) and is_characteristic(seq)
+
+
+def _witness_fails_last(witness):
+    def fake(seq):
+        if seq == (4, 1, 2, 2, 2, 1):  # the last sequence of length <= 6
+            raise InvariantViolationError(f"no witness index in {seq}")
+        return witness(seq)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "attr, fake",
+    [("is_characteristic", _reject_2121), ("_witness", _witness_fails_last)],
+    ids=["verification", "witness"],
+)
+@pytest.mark.parametrize("emit", ["json", "csv"])
+def test_charseqs_invariant_failure_writes_nothing(capsys, monkeypatch, attr, fake, emit):
+    monkeypatch.setattr(weyl, attr, fake(getattr(weyl, attr)))
+    code, out = run(capsys, "charseqs", "--max-len", "6", "--emit", emit)
+    assert code == 4
+    assert out == ""
+
+
 def test_adjoint_s3(capsys, s3pair_spec):
     code, out = run(capsys, "adjoint", "--spec", s3pair_spec, "--m", "1")
     assert code == 0
@@ -242,3 +326,36 @@ def test_classify_cap_exit3(capsys):
 def test_classify_nonpositive_n_max_exit2(capsys):
     code, _ = run(capsys, "classify", "--n-max", "-3")
     assert code == 2
+
+
+S3_MODULE = {"class_rep": "x1", "character": {"x1": "-1"}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"group_ref": "enveloping:(12)^S3", "W": S3_MODULE},
+        {"group_ref": "enveloping:(12)^S3", "V": S3_MODULE},
+        {"group_ref": "enveloping:(12)^S3", "V": {"character": {}}, "W": S3_MODULE},
+        {"group": {"type": "enveloping"}, "V": S3_MODULE, "W": S3_MODULE},
+        {"group": {"type": "enveloping", "quandle": 3}, "V": S3_MODULE, "W": S3_MODULE},
+        {"group": {"type": "abelian"}, "V": {"class_rep": 0}, "W": {"class_rep": 0}},
+        {"diagonal": {"q11": "-1", "q12": "1", "q21": "1"}},
+    ],
+    ids=["no-V", "no-W", "no-class_rep", "no-quandle", "quandle-number", "no-orders", "no-q22"],
+)
+def test_adjoint_missing_key_exit2(capsys, tmp_path, spec):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(**kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(supportcalc, "classify", broken)
+    with pytest.raises(KeyError):
+        main(["classify", "--n-max", "3"])

@@ -206,9 +206,23 @@ def test_census_indecomposable_matches_catalog_upto5():
         assert ind == expected
 
 
+@lru_cache(maxsize=None)
+def census_classes(n: int) -> tuple:
+    return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
+
+
+# OEIS A181771: quandles of order n up to isomorphism
+@pytest.mark.parametrize(
+    "n, count",
+    [(1, 1), (2, 1), (3, 3), (4, 7), (5, 22), pytest.param(6, 73, marks=pytest.mark.slow)],
+)
+def test_census_matches_oeis_a181771(n, count):
+    assert len(census_classes(n)) == count
+
+
 @pytest.mark.slow
 def test_census_indecomposable_matches_catalog_n6():
-    reps = Q.iso_class_representatives(Q.enumerate_quandles(6))
+    reps = census_classes(6)
     assert len(reps) == 73
     ind = {Q.match_catalog(q) for q in reps if Q.is_indecomposable(q)}
     assert ind == {"(12)^S4", "(1234)^S4"}

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from qnichols import weyl as W
 from qnichols.errors import InputError
@@ -22,6 +23,18 @@ def test_is_characteristic():
     assert not W.is_characteristic((1, 1))
     assert not W.is_characteristic(())
     assert not W.is_characteristic((0, 1, 1))
+
+
+@given(st.lists(st.integers(0, 5), max_size=9))
+def test_is_characteristic_matches_matrix_product(seq):
+    m = W.ID2
+    prefixes_ok = True
+    for k, c in enumerate(seq):
+        m = W.mat_mul(m, W.eta(c))
+        if k < len(seq) - 1 and (m[0][0] < 0 or m[1][0] < 0):
+            prefixes_ok = False
+    expected = bool(seq) and min(seq) >= 1 and prefixes_ok and m == W.NEG_ID2
+    assert W.is_characteristic(seq) == expected
 
 
 def test_2121_product_oracle():
@@ -56,6 +69,25 @@ def test_enumerate_length3():
 def test_enumerate_length4():
     out = [s for s in W.enumerate_charseqs(4) if len(s) == 4]
     assert out == [(1, 2, 1, 2), (2, 1, 2, 1)]
+
+
+def test_length_cap_admits_14_and_refuses_15():
+    # sum of Catalan(k - 2) for k = 3..L: 290,511 at L = 14, 1,033,411 at L = 15
+    assert not W._count_exceeds_cap(14)
+    assert W._count_exceeds_cap(15)
+
+
+def test_enumerate_verifies_each_sequence_once(monkeypatch):
+    calls = []
+    original = W.is_characteristic
+
+    def counted(seq):
+        calls.append(tuple(seq))
+        return original(seq)
+
+    monkeypatch.setattr(W, "is_characteristic", counted)
+    seqs = W.enumerate_charseqs(8)
+    assert sorted(calls, key=lambda s: (len(s), s)) == seqs
 
 
 def test_generative_agrees_with_dfs_oracle():
