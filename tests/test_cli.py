@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from qnichols import supportcalc, weyl
 from qnichols.cli import main
 from qnichols.errors import InvariantViolationError
-from qnichols.quandle import catalog
+from qnichols.quandle import MAX_QUANDLE_SIZE, catalog
 
 
 @pytest.fixture()
@@ -70,6 +71,29 @@ def test_quandle_empty_file_exit2(capsys, tmp_path, text):
     path.write_text(text)
     code, _ = run(capsys, "quandle", "--file", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["catalog", "text", "json"])
+def test_quandle_size_cap_exit3(capsys, tmp_path, source):
+    if source == "catalog":
+        argv = ["--catalog", "trivial(100000)"]
+    else:
+        path = tmp_path / "big.qnd"
+        size = MAX_QUANDLE_SIZE + 1
+        row = list(range(1, size + 1))
+        if source == "text":
+            path.write_text(f"{size}\n" + f"{' '.join(map(str, row))}\n" * size)
+        else:
+            path.write_text(json.dumps({"size": size, "table": [row] * size}))
+        argv = ["--file", str(path)]
+    code, out = run(capsys, "quandle", *argv)
+    assert (code, out) == (3, "")
+
+
+def test_quandle_at_size_cap(capsys):
+    code, out = run(capsys, "quandle", "--catalog", f"trivial({MAX_QUANDLE_SIZE})")
+    assert code == 0
+    assert json.loads(out)["size"] == MAX_QUANDLE_SIZE
 
 
 def test_envgroup_a4(capsys):
@@ -229,6 +253,33 @@ def test_adjoint_diagonal(capsys, tmp_path):
     code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
     assert code == 0
     assert json.loads(out)["dim"] == 1
+
+
+def test_adjoint_s4_pair_m3_output_pinned(capsys, tmp_path):
+    """The 6-dimensional S4 transposition pair, the extremal case of the
+    classification: dim 34 both ways, and the exact bytes of the report."""
+    module = {"class_rep": "x2", "character": {"x2": "-1", "x6": "-1"}}
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps({"group_ref": "enveloping:(12)^S4", "V": module, "W": module}))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["dim"] == data["x_space_dim"] == 34
+    assert sum(b["rank"] for b in data["per_block"]) == 34
+    assert len(out.encode()) == 662
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "ebaccda7fdfdfb3498e4630c4fbf66cdab5a11cae052f7c5bb26c90cc9b0ed62"
+    )
+
+
+def test_adjoint_conductor_cap_exit3(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(
+        json.dumps({"diagonal": {"q11": "z720720", "q12": "1", "q21": "1", "q22": "-1"}})
+    )
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert (code, out) == (3, "")
 
 
 def test_adjoint_bad_spec_exit2(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import cyclotomic as C
-from qnichols.errors import InputError, InvariantViolationError
+from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
 
 def test_phi_polys():
@@ -85,6 +85,126 @@ def test_embedding_consistency(a, b):
     exact = (a * b + a).approx()
     approx = a.approx() * b.approx() + a.approx()
     assert abs(exact - approx) < 1e-9
+
+
+def assert_normal_form(x: C.CycNum) -> None:
+    """Exactly phi(N) coefficients, each an int or a non-integral Fraction."""
+    assert len(x.coeffs) == C.euler_phi(x.N)
+    for c in x.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def ref_coeffs(x: C.CycNum, n: int) -> list[Fraction]:
+    """x over Q(zeta_n), n a multiple of x.N: substitute zeta_N = zeta_n^(n/N)
+    and take the remainder of long division by Phi_n, all over Fractions."""
+    step = n // x.N
+    poly = [Fraction(0)] * (step * len(x.coeffs))
+    for k, c in enumerate(x.coeffs):
+        poly[k * step] = Fraction(c)
+    return ref_reduce(poly, n)
+
+
+def ref_reduce(poly: list[Fraction], n: int) -> list[Fraction]:
+    phi = [Fraction(c) for c in C.cyclotomic_poly(n)]
+    deg = len(phi) - 1
+    rem = list(poly)
+    while len(rem) > deg:
+        lead = rem.pop()  # Phi_n is monic: subtract lead * x^(len - deg) * Phi_n
+        for i in range(deg):
+            rem[len(rem) - deg + i] -= lead * phi[i]
+    return rem + [Fraction(0)] * (deg - len(rem))
+
+
+def ref_product(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return ref_reduce(prod, n)
+
+
+def test_reference_itself():
+    z3 = C.CycNum.zeta(3)
+    assert ref_coeffs(z3, 3) == [0, 1]
+    assert ref_coeffs(z3, 6) == [-1, 1]  # zeta_3 = zeta_6^2 = zeta_6 - 1
+    assert ref_product([0, 1], [0, 1], 4) == [-1, 0]  # i * i = -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars, scalars)
+def test_arithmetic_matches_fraction_reference(a, b):
+    """Every operation agrees with Fraction polynomial arithmetic modulo Phi_M,
+    M = lcm of the conductors, and returns a result in normal form."""
+    m = C._lcm(a.N, b.N)
+    ra, rb = ref_coeffs(a, m), ref_coeffs(b, m)
+    results = {
+        "+": (a + b, [x + y for x, y in zip(ra, rb)]),
+        "-": (a - b, [x - y for x, y in zip(ra, rb)]),
+        "*": (a * b, ref_product(ra, rb, m)),
+    }
+    for op, (got, want) in results.items():
+        assert got.N == m, op
+        assert_normal_form(got)
+        assert list(got.coeffs) == want, op
+    neg = -a
+    assert_normal_form(neg)
+    assert neg.N == a.N and list(neg.coeffs) == [-c for c in ref_coeffs(a, a.N)]
+    if not a.is_zero():
+        inv = a.inv()
+        assert_normal_form(inv)
+        assert inv.N == a.N
+        assert ref_product(ref_coeffs(a, a.N), ref_coeffs(inv, a.N), a.N) == ref_coeffs(C.one(), a.N)
+
+
+def test_normal_form_keeps_integers_as_int():
+    third = C.CycNum.rational(3).inv()
+    assert third == Fraction(1, 3) and third.coeffs == (Fraction(1, 3),)
+    assert C.CycNum.rational(-1).inv().coeffs == (-1,)
+    assert type(C.CycNum.rational(-1).inv().coeffs[0]) is int
+    half = C.CycNum(4, [Fraction(1, 2), Fraction(3, 2)])
+    assert (half + half).coeffs == (1, 3)
+    assert all(type(c) is int for c in (half * 2).coeffs)
+    x = C.CycNum(5, [1, -2, 0, 3])  # integer coefficients, inverse is not integral
+    y = x.inv()
+    assert_normal_form(y)
+    assert any(type(c) is Fraction for c in y.coeffs)
+    assert x * y == C.one() and y.inv() == x
+    assert all(type(c) is int for c in (x * y).coeffs)
+    assert_normal_form(C.CycNum(3, [0.5, True, Fraction(4, 2)]))
+
+
+def test_conductor_cap():
+    cap = C.MAX_CONDUCTOR
+    below = C.CycNum.zeta(cap)
+    assert len(below.coeffs) == C.euler_phi(cap)
+    with pytest.raises(ResourceCapError):
+        C.CycNum.zeta(cap + 1)
+    with pytest.raises(ResourceCapError):
+        C.parse_cyc(f"z{cap + 1}")
+    with pytest.raises(ResourceCapError):
+        C.CycNum(cap + 1, [1])
+    # each conductor is under the cap, their lcm is not
+    other = C.CycNum.zeta(cap - 1)
+    with pytest.raises(ResourceCapError):
+        below * other
+    with pytest.raises(ResourceCapError):
+        below + other
+    with pytest.raises(InputError):
+        C.CycNum.zeta(0)
+
+
+def test_matrix_sum_and_difference_merge_rows():
+    z = C.CycNum.zeta(3)
+    a = C.CycMatrix.from_rows([[1, z, 0], [0, 0, 0], [2, 0, z]])
+    b = C.CycMatrix.from_rows([[1, -z, 0], [0, z, 0], [0, 0, z]])
+    for got, combine in ((a + b, C.CycNum.__add__), (a - b, C.CycNum.__sub__)):
+        for i in range(3):
+            for j in range(3):
+                assert got.get(i, j) == combine(a.get(i, j), b.get(i, j))
+        assert all(row and all(v for v in row.values()) for row in got.data.values())
+    assert (a - a).is_zero() and (a - a).data == {}
+    assert (a + b).get(0, 1).is_zero() and 1 not in (a + b).data.get(0, {})
+    assert a.get(1, 1) == 0 and b.get(0, 0) == 1
 
 
 def test_matrix_identity_rank():
