@@ -83,22 +83,46 @@ def cmd_charseqs(args) -> int:
     seqs = weyl.enumerate_charseqs(args.max_len)
     # every invariant check runs before the first byte, so a failure leaves stdout empty
     witnesses = [weyl._witness(s) for s in seqs]
-    write = _write_charseqs_json if args.emit == "json" else _write_charseqs_csv
-    write(sys.stdout, seqs, witnesses)
+    records = _json_records if args.emit == "json" else _csv_records
+    _write_chunked(sys.stdout, records(seqs, witnesses))
     return 0
 
 
 def _rotation_blocks(seqs, format_block):
     """Yield format_block(sorted rotations) for each sequence, formatting each
-    rotation class once: its members share the block, keyed by the least rotation."""
+    rotation class once: the block waits under every member of the class not
+    yet reached, and each member takes it with one lookup."""
     blocks: dict[tuple[int, ...], str] = {}
     for seq in seqs:
-        rotations = weyl._rotations(seq)
-        key = min(rotations)
-        block = blocks.get(key)
+        block = blocks.pop(seq, None)
         if block is None:
-            block = blocks[key] = format_block(sorted(rotations))
+            rotations = weyl._rotations(seq)
+            block = format_block(sorted(rotations))
+            for rot in rotations:
+                blocks[rot] = block
+            del blocks[seq]
         yield block
+
+
+# Records are joined into writes of at least this many characters: with an
+# unbuffered stdout (PYTHONUNBUFFERED) every write is its own system call.
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_chunked(out, pieces) -> None:
+    """Write the concatenated pieces to out in writes of at least _WRITE_CHUNK
+    characters, except the last."""
+    buffer: list[str] = []
+    size = 0
+    for piece in pieces:
+        buffer.append(piece)
+        size += len(piece)
+        if size >= _WRITE_CHUNK:
+            out.write("".join(buffer))
+            buffer.clear()
+            size = 0
+    if buffer:
+        out.write("".join(buffer))
 
 
 def _json_ints(values, indent: str) -> str:
@@ -110,31 +134,31 @@ def _json_rotations(rotations) -> str:
     return ",\n".join(f"      [\n{_json_ints(r, '        ')}\n      ]" for r in rotations)
 
 
-def _write_charseqs_json(out, seqs, witnesses) -> None:
-    """Write the records {"seq", "witness", "rotations"} one at a time, byte for
-    byte as print(json.dumps(records, sort_keys=True, indent=2)) would."""
+def _json_records(seqs, witnesses):
+    """The records {"seq", "witness", "rotations"}, byte for byte as
+    print(json.dumps(records, sort_keys=True, indent=2)) lays them out."""
     if not seqs:
-        out.write("[]\n")
+        yield "[]\n"
         return
     sep = "[\n"
     for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _json_rotations)):
-        out.write(
+        yield (
             f'{sep}  {{\n    "rotations": [\n{rotations}\n    ],\n'
             f'    "seq": [\n{_json_ints(seq, "      ")}\n    ],\n'
             f'    "witness": {witness}\n  }}'
         )
         sep = ",\n"
-    out.write("\n]\n")
+    yield "\n]\n"
 
 
 def _csv_rotations(rotations) -> str:
     return "|".join(" ".join(map(str, r)) for r in rotations)
 
 
-def _write_charseqs_csv(out, seqs, witnesses) -> None:
+def _csv_records(seqs, witnesses):
     """One line per sequence: entries;witness;rotations, rotations split by '|'."""
     for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _csv_rotations)):
-        out.write(f"{' '.join(map(str, seq))};{witness};{rotations}\n")
+        yield f"{' '.join(map(str, seq))};{witness};{rotations}\n"
 
 
 def _object(value, what: str) -> dict:
@@ -334,7 +358,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        # an input file that is missing, unreadable or not UTF-8 text
+        FileNotFoundError,
+        IsADirectoryError,
+        PermissionError,
+        UnicodeDecodeError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"input error: {exc!r}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

@@ -11,7 +11,7 @@ preserve the product of the degrees along a basis tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, echelon_rows, one
@@ -70,23 +70,28 @@ def adjacent_braiding(
     k = slot - 1
     if not 0 <= k < len(factors) - 1:
         raise InputError(f"slot {slot} out of range for {len(factors)} factors")
-    dom = BraidedTensor(factors)
-    new_factors = factors[:k] + (factors[k + 1], factors[k]) + factors[k + 1 :][1:]
-    cod = BraidedTensor(new_factors)
-    out = CycMatrix(cod.dim, dom.dim)
+    new_factors = factors[:k] + (factors[k + 1], factors[k]) + factors[k + 2 :]
     a, b = factors[k], factors[k + 1]
-    action_cols: dict[int, dict[int, list[tuple[int, CycNum]]]] = {}
-    for idx in range(dom.dim):
-        tup = dom.index_to_tuple(idx)
-        i, j = tup[k], tup[k + 1]
+    prefix = BraidedTensor(factors[:k]).dim
+    suffix = BraidedTensor(factors[k + 2 :]).dim
+    out = CycMatrix(prefix * b.dim * a.dim * suffix, prefix * a.dim * b.dim * suffix)
+    data = out.data
+    # the nonzero entries (r, value) of column j of the action of degree g,
+    # built once per (g, j)
+    columns: dict[tuple[int, int], list[tuple[int, CycNum]]] = {}
+    # domain tuples in row-major order: prefix, a-index i, b-index j, suffix;
+    # e_i (x) e_j goes to sum_r act(g_i)[r, j] e_r (x) e_i
+    domain = product(range(prefix), range(a.dim), range(b.dim), range(suffix))
+    for idx, (p, i, j, s) in enumerate(domain):
         g = a.degree[i]
-        cols = action_cols.setdefault(g, {})
-        if j not in cols:
-            act = b.action(g)
-            cols[j] = [(r, act.get(r, j)) for r in range(b.dim) if not act.get(r, j).is_zero()]
-        for r, val in cols[j]:
-            new_tup = tup[:k] + (r, i) + tup[k + 2 :]
-            out.set(cod.tuple_to_index(new_tup), idx, val)
+        column = columns.get((g, j))
+        if column is None:
+            rows = sorted(b.action(g).data.items())
+            column = columns[g, j] = [
+                (r, row[j]) for r, row in rows if j in row and not row[j].is_zero()
+            ]
+        for r, val in column:
+            data.setdefault(((p * b.dim + r) * a.dim + i) * suffix + s, {})[idx] = val
     return out, new_factors
 
 

@@ -123,6 +123,9 @@ class Quandle:
         try:
             table = data["table"]
             _check_size(len(table))
+            # JSON true/false would pass the axioms as 1/0
+            if any(type(v) is not int for row in table for v in row):
+                raise InputError("quandle table entries must be integers")
             return cls(table)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed quandle JSON: {exc}") from exc

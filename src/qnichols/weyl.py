@@ -2,9 +2,11 @@
 
 A characteristic sequence is a tuple of positive integers whose eta-matrix
 product is -id while every proper prefix product keeps a nonnegative first
-column.  The set of all of them is closed under rotation and under the
-insertion rule inverse to the length-reducing equivalence; enumeration uses
-that closure, with a brute-force DFS as an independent oracle.
+column.  They are the quiddities of polygon triangulations, and enumeration
+builds them by the Catalan split of each polygon along the triangle on one
+edge.  The set is also closed under rotation and under the insertion rule
+inverse to the length-reducing equivalence; the tests use that closure and
+the brute-force DFS below as independent oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def mat_mul(a: Mat2, b: Mat2) -> Mat2:
 def is_characteristic(seq: Sequence[int]) -> bool:
     """Product of eta(c_i) equals -id with nonnegative first columns of all
     proper prefix products."""
-    if not seq or any(c < 1 for c in seq):
+    if not seq or min(seq) < 1:
         return False
     # the running product ((a, b), (c, d)), multiplied by eta(x) in place
     a, b, c, d = 1, 0, 0, 1
@@ -119,11 +121,15 @@ def _count_exceeds_cap(max_len: int) -> bool:
 
 
 def enumerate_charseqs(max_len: int) -> list[tuple[int, ...]]:
-    """All characteristic sequences of length <= max_len.
+    """All characteristic sequences of length <= max_len, sorted by (length, entries).
 
-    Closure of {(1,1,1)} under rotation and inverse reduction; every output is
-    verified once, and sequences are deduplicated as plain tuples (rotations
-    are distinct members).
+    They are the quiddities of the triangulations of a polygon (Conway-Coxeter;
+    Cuntz-Heckenberger): entry v counts the triangles at vertex v.  The
+    triangle on the edge (0, p-1) of a p-gon has an apex k in 1..p-2 and splits
+    the rest into a (k+1)-gon on vertices 0..k and a (p-k)-gon on k..p-1, so a
+    p-gon quiddity glues one of each, with 1 added at vertices 0, k and p-1 (a
+    2-gon is an edge, quiddity (0, 0)).  Each size is built once from the
+    smaller ones, and every output is verified once.
     """
     if max_len < 1:
         raise InputError("max_len must be >= 1")
@@ -131,27 +137,28 @@ def enumerate_charseqs(max_len: int) -> list[tuple[int, ...]]:
         raise ResourceCapError(
             f"more than {MAX_CHARSEQS} characteristic sequences of length <= {max_len}"
         )
-    found: set[tuple[int, ...]] = set()
-    if max_len >= 3:
-        frontier = {(1, 1, 1)}
-        while frontier:
-            new: set[tuple[int, ...]] = set()
-            for seq in frontier:
-                for rot in _rotations(seq):
-                    if rot not in found:
-                        found.add(rot)
-                        new.add(rot)
-                if len(seq) < max_len:
-                    for pos in range(1, len(seq) + 1):
-                        longer = insert_inverse(seq, pos)
-                        if longer not in found:
-                            found.add(longer)
-                            new.add(longer)
-            frontier = new
-    for seq in found:
+    # Each quiddity of size s, split once: as a left polygon into (entries
+    # before vertex k, with the +1 at vertex 0; entry at vertex k), and as a
+    # right polygon into (entry at vertex k; entries after it, with the +1 at
+    # vertex p-1).  Size 2 is the edge (0, 0).
+    lefts: list[list[tuple[tuple[int, ...], int]]] = [[], [], [((1,), 0)]]
+    rights: list[list[tuple[int, tuple[int, ...]]]] = [[], [], [(0, (1,))]]
+    out: list[tuple[int, ...]] = []
+    for p in range(3, max_len + 1):
+        seqs = [
+            head + (last + first + 1,) + tail
+            for k in range(1, p - 1)
+            for head, last in lefts[k + 1]
+            for first, tail in rights[p - k]
+        ]
+        out.extend(sorted(seqs))
+        if p < max_len:
+            lefts.append([((q[0] + 1,) + q[1:-1], q[-1]) for q in seqs])
+            rights.append([(q[0], q[1:-1] + (q[-1] + 1,)) for q in seqs])
+    for seq in out:
         if not is_characteristic(seq):
             raise InvariantViolationError(f"generated sequence fails verification: {seq}")
-    return sorted(found, key=lambda s: (len(s), s))
+    return out
 
 
 def enumerate_charseqs_dfs(max_len: int) -> list[tuple[int, ...]]:

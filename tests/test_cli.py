@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from functools import lru_cache
 
 import pytest
@@ -71,6 +72,32 @@ def test_quandle_empty_file_exit2(capsys, tmp_path, text):
     path.write_text(text)
     code, _ = run(capsys, "quandle", "--file", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "table", [[[True, 2], [1, 2]], [[1.0, 2], [1, 2]], [[1, 2], [1, 2.0]], [["1", 2], [1, 2]]]
+)
+def test_quandle_non_integer_json_entries_exit2(capsys, tmp_path, table):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"size": 2, "table": table}))
+    code, out = run(capsys, "quandle", "--file", str(path))
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("content", ["undecodable", "directory"])
+@pytest.mark.parametrize("command", ["quandle", "adjoint"])
+def test_unreadable_input_file_exit2(capsys, tmp_path, content, command):
+    path = tmp_path / "input"
+    if content == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00junk")
+    if command == "quandle":
+        argv = ["quandle", "--file", str(path)]
+    else:
+        argv = ["adjoint", "--spec", str(path), "--m", "1"]
+    code, out = run(capsys, *argv)
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("source", ["catalog", "text", "json"])
@@ -156,8 +183,9 @@ def test_charseqs_csv(capsys):
 @lru_cache(maxsize=None)
 def reference_charseqs(max_len: int) -> list[tuple[int, ...]]:
     # The DFS oracle takes about 45 s at length 9, so length 9 comes from the
-    # closure enumerator, which test_weyl checks against the DFS up to length 8
-    # and against the Catalan counts up to length 9.
+    # Catalan-split enumerator, which test_weyl checks against the DFS up to
+    # length 8, and against the ear-insertion closure and the Catalan counts
+    # up to length 12.
     if max_len <= 8:
         return weyl.enumerate_charseqs_dfs(max_len)
     return weyl.enumerate_charseqs(max_len)
@@ -186,6 +214,36 @@ def test_charseqs_streamed_output_matches_dumps(capsys, max_len, emit):
     code, out = run(capsys, "charseqs", "--max-len", str(max_len), "--emit", emit)
     assert code == 0
     assert out == old_charseqs_output(max_len, emit)
+
+
+class _CountingStdout:
+    """A stdout stand-in that records each write call."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "emit, size, sha256",
+    [
+        ("json", 2_712_803, "7b7db469efbd472d840f767c537054f22512d9d26aabf6a0bae7fcc3aea63950"),
+        ("csv", 421_222, "ebed6055e547d9d536285eb1bf9a0cfa5bb15026c2ad1e16828c5db27e6e3f36"),
+    ],
+)
+def test_charseqs_writes_stdout_in_64k_chunks(monkeypatch, emit, size, sha256):
+    stdout = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["charseqs", "--max-len", "10", "--emit", emit]) == 0
+    out = "".join(stdout.writes)
+    assert out == old_charseqs_output(10, emit)
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+    assert len(stdout.writes) <= math.ceil(len(out.encode()) / 65536) + 1
+    assert len(stdout.writes) > 1
 
 
 @pytest.mark.parametrize("max_len", ["-5", "0"])

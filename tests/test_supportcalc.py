@@ -323,6 +323,38 @@ def test_certified_tuples_level_counts():
     assert lvl3 == set()
 
 
+@pytest.mark.parametrize(
+    "name, ov, ow, swap, expected_steps",
+    [
+        ("Z_4^{4,2}", (5, 6), (1, 2, 3, 4), False, 8),
+        ("Z_4^{4,2}", (5, 6), (1, 2, 3, 4), True, 24),
+        ("Z_3^{3,2}", (4, 5), (1, 2, 3), False, 6),
+        ("Z_3^{3,2}", (4, 5), (1, 2, 3), True, 12),
+    ],
+)
+def test_certified_steps_have_multiplicity_one(name, ov, ow, swap, expected_steps):
+    """Every extension step certified_tuples accepts at levels 1-2 is checked
+    by the independent expansion oracle: its tuple occurs exactly once."""
+    ctx = ctx_for(name, ov, ow)
+    if swap:
+        ctx = ctx.swap()
+    level = {(s,) for s in ctx.orbit_w}
+    steps = 0
+    for m in (1, 2):
+        accepted = set()
+        for known in level:
+            for p in ctx.orbit_v:
+                for i in range(1, len(known) + 1):
+                    t = S.degrees_certificate(ctx, p, i, known)
+                    if t is not None:
+                        assert S.certificate_multiplicity_one(ctx, p, i, known), (known, p, i)
+                        accepted.add(t)
+                        steps += 1
+        assert accepted == S.certified_tuples(ctx, m)
+        level = accepted
+    assert steps == expected_steps
+
+
 # -- classification ----------------------------------------------------------------
 
 

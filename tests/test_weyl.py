@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,12 +103,46 @@ def test_rotation_closure():
             assert W.is_characteristic(rot)
 
 
+def closure_charseqs(max_len: int) -> list[tuple[int, ...]]:
+    """Oracle: the closure of {(1,1,1)} under rotation and the insertion rule
+    inverse to the length-reducing equivalence (ears added one at a time),
+    sorted like enumerate_charseqs."""
+    found: set[tuple[int, ...]] = set()
+    if max_len >= 3:
+        frontier = {(1, 1, 1)}
+        while frontier:
+            new: set[tuple[int, ...]] = set()
+            for seq in frontier:
+                for rot in W._rotations(seq):
+                    if rot not in found:
+                        found.add(rot)
+                        new.add(rot)
+                if len(seq) < max_len:
+                    for pos in range(1, len(seq) + 1):
+                        longer = W.insert_inverse(seq, pos)
+                        if longer not in found:
+                            found.add(longer)
+                            new.add(longer)
+            frontier = new
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def test_catalan_split_matches_closure_oracle():
+    closure = closure_charseqs(12)
+    for max_len in range(3, 13):
+        expected = [s for s in closure if len(s) <= max_len]
+        assert W.enumerate_charseqs(max_len) == expected
+
+
 def test_counts_match_triangulations():
-    # sequences of length n biject with triangulations of an n-gon
+    # sequences of length n biject with triangulations of an n-gon: Catalan(n - 2)
+    seqs = W.enumerate_charseqs(12)
+    assert len(set(seqs)) == len(seqs)
     by_len = {}
-    for seq in W.enumerate_charseqs(9):
+    for seq in seqs:
         by_len[len(seq)] = by_len.get(len(seq), 0) + 1
-    assert by_len == {3: 1, 4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429}
+    assert by_len == {n: math.comb(2 * (n - 2), n - 2) // (n - 1) for n in range(3, 13)}
+    assert by_len[9] == 429 and by_len[12] == 16796
 
 
 def test_small_neighbor_witness():
