@@ -828,19 +828,13 @@ def sl23() -> tuple[FinGroup, tuple[int, ...], tuple[int, ...]]:
 def _embed_tetrahedral(group: FinGroup, cls: Sequence[int]) -> tuple[int, ...]:
     """First lexicographic conjugation-preserving bijection from the
     tetrahedral quandle onto the given 4-element class."""
-    from itertools import permutations
-
-    from .quandle import catalog
+    from .quandle import catalog, embeddings
 
     q = catalog("(123)^A4")
-    for assign in permutations(sorted(cls)):
-        if all(
-            group.conj(assign[i - 1], assign[j - 1]) == assign[q.op(i, j) - 1]
-            for i in q.elements()
-            for j in q.elements()
-        ):
-            return tuple(assign)
-    raise InvariantViolationError("tetrahedral quandle does not embed in the class")
+    f = next(embeddings(q, group.conj, [sorted(cls)] * q.n), None)
+    if f is None:
+        raise InvariantViolationError("tetrahedral quandle does not embed in the class")
+    return f
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,10 @@
 A quandle on {1..n} is stored as an n x n table with ``table[i-1][j-1] = i > j``
 (row i is the one-line form of the left translation phi_i).  All elements are
 1-indexed integers; tables are row-major tuples of tuples.
+
+One search, ``embeddings``, finds every map f with f(a > b) = op(f(a), f(b)):
+isomorphisms, automorphisms and maps into a group under conjugation all call
+it.  Isomorphism classes of labeled quandles are keyed by ``canonical_table``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
 
@@ -294,8 +298,64 @@ def _element_invariant(q: Quandle, orbits: list[tuple[int, ...]]) -> list[tuple]
     return inv
 
 
+def embeddings(
+    q: Quandle,
+    op: Callable[[Hashable, Hashable], Hashable],
+    candidates: Sequence[Sequence[Hashable]],
+) -> Iterator[tuple]:
+    """Yield every injective map f with f(x) in candidates[x-1] and
+    f(a > b) = op(f(a), f(b)), as a tuple whose entry x-1 is f(x).
+
+    The search branches on the unassigned element with the shortest candidate
+    list (ties go to the least label) and tries its candidates in list order,
+    so the maps come lexicographically in that element order.  Each choice is
+    closed under the rule before the next branch: a forced value must be
+    unused and must lie in its candidate list.
+    """
+    n, t = q.n, q.table
+    allowed = [set(c) for c in candidates]
+    order = sorted(q.elements(), key=lambda x: (len(candidates[x - 1]), x))
+    image: list = [None] * (n + 1)
+    used: set = set()
+
+    def assign(x: int, y: Hashable, trail: list[int]) -> bool:
+        queue = [(x, y)]
+        while queue:
+            a, fa = queue.pop()
+            if image[a] is not None:
+                if image[a] != fa:
+                    return False
+                continue
+            if fa in used or fa not in allowed[a - 1]:
+                return False
+            image[a] = fa
+            used.add(fa)
+            trail.append(a)
+            for b in range(1, n + 1):
+                fb = image[b]
+                if fb is not None:
+                    queue.append((t[a - 1][b - 1], op(fa, fb)))
+                    queue.append((t[b - 1][a - 1], op(fb, fa)))
+        return True
+
+    def extend() -> Iterator[tuple]:
+        x = next((a for a in order if image[a] is None), 0)
+        if x == 0:
+            yield tuple(image[1:])
+            return
+        for y in candidates[x - 1]:
+            trail: list[int] = []
+            if assign(x, y, trail):
+                yield from extend()
+            for a in trail:
+                used.discard(image[a])
+                image[a] = None
+
+    yield from extend()
+
+
 def isomorphic(q1: Quandle, q2: Quandle) -> Optional[QuandleIso]:
-    """Search for an isomorphism q1 -> q2 by backtracking.
+    """The first isomorphism q1 -> q2 that ``embeddings`` finds, or None.
 
     Prunes on orbit-size multiset and per-element invariants (cycle type of
     phi_i, orbit size, number of translations moving the element).
@@ -311,42 +371,8 @@ def isomorphic(q1: Quandle, q2: Quandle) -> Optional[QuandleIso]:
     candidates = [
         [j for j in q2.elements() if inv2[j - 1] == inv1[i - 1]] for i in q1.elements()
     ]
-    image = [0] * (q1.n + 1)
-    used = [False] * (q2.n + 1)
-
-    def consistent(i: int) -> bool:
-        # check every constraint f(a>b) = f(a)>f(b) that i participates in,
-        # as source, argument, or target
-        assigned = [j for j in q1.elements() if image[j] != 0]
-        for a in assigned:
-            for b in assigned:
-                if a != i and b != i and q1.op(a, b) != i:
-                    continue
-                fc = image[q1.op(a, b)]
-                if fc != 0 and fc != q2.op(image[a], image[b]):
-                    return False
-        return True
-
-    order = sorted(q1.elements(), key=lambda i: len(candidates[i - 1]))
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i - 1]:
-            if used[j]:
-                continue
-            image[i] = j
-            used[j] = True
-            if consistent(i) and extend(k + 1):
-                return True
-            image[i] = 0
-            used[j] = False
-        return False
-
-    if extend(0):
-        return QuandleIso(q1, q2, tuple(image[1:]))
-    return None
+    f = next(embeddings(q1, q2.op, candidates), None)
+    return None if f is None else QuandleIso(q1, q2, f)
 
 
 # -- catalogs ----------------------------------------------------------------
@@ -601,51 +627,8 @@ def enumerate_quandles(n: int) -> Iterator[Quandle]:
 
 
 def automorphisms(q: Quandle) -> list[tuple[int, ...]]:
-    """Every automorphism of q as a one-line map, in lexicographic order.
-
-    Images are chosen for the least unmapped element; each choice is closed
-    under f(a>b) = f(a)>f(b) before the next one."""
-    n, t = q.n, q.table
-    image = [0] * (n + 1)
-    used = [False] * (n + 1)
-    out: list[tuple[int, ...]] = []
-
-    def assign(x: int, y: int, trail: list[int]) -> bool:
-        queue = [(x, y)]
-        while queue:
-            a, fa = queue.pop()
-            if image[a]:
-                if image[a] != fa:
-                    return False
-                continue
-            if used[fa]:
-                return False
-            image[a], used[fa] = fa, True
-            trail.append(a)
-            for b in range(1, n + 1):
-                fb = image[b]
-                if fb:
-                    queue.append((t[a - 1][b - 1], t[fa - 1][fb - 1]))
-                    queue.append((t[b - 1][a - 1], t[fb - 1][fa - 1]))
-        return True
-
-    def extend() -> None:
-        x = next((a for a in range(1, n + 1) if not image[a]), 0)
-        if x == 0:
-            out.append(tuple(image[1:]))
-            return
-        for y in range(1, n + 1):
-            if used[y]:
-                continue
-            trail: list[int] = []
-            if assign(x, y, trail):
-                extend()
-            for a in trail:
-                used[image[a]] = False
-                image[a] = 0
-
-    extend()
-    return out
+    """Every automorphism of q as a one-line map, in lexicographic order."""
+    return list(embeddings(q, q.op, [q.elements()] * q.n))
 
 
 def _cycles_in_label_order(lengths: Sequence[int]) -> tuple[int, ...]:
@@ -768,18 +751,9 @@ def glued_quandles(a: Quandle, b: Quandle) -> Iterator[Quandle]:
 
 
 def iso_class_representatives(quandles: Iterable[Quandle]) -> list[Quandle]:
-    """Group labeled quandles into isomorphism classes; first-seen representatives."""
-    buckets: dict[tuple, list[Quandle]] = {}
-    reps: list[Quandle] = []
+    """Group labeled quandles into isomorphism classes by canonical table;
+    first-seen representatives, in the order first seen."""
+    reps: dict[tuple, Quandle] = {}
     for q in quandles:
-        orbits = inner_orbits(q)
-        key = (
-            q.n,
-            tuple(sorted(map(len, orbits))),
-            tuple(sorted(perm_cycle_type(q.row(i)) for i in q.elements())),
-        )
-        bucket = buckets.setdefault(key, [])
-        if not any(isomorphic(q, rep) for rep in bucket):
-            bucket.append(q)
-            reps.append(q)
-    return reps
+        reps.setdefault(canonical_table(q), q)
+    return list(reps.values())

@@ -25,6 +25,7 @@ from .quandle import (
     canonical_table,
     catalog,
     connected_quandles,
+    embeddings,
     enumerate_quandles,
     glued_quandles,
     inner_orbits,
@@ -268,6 +269,23 @@ def comm_adw4_rejects(ctx: TwoOrbitContext) -> Optional[dict]:
     return witnesses
 
 
+def _swapped_halves(q: Quandle, role: Sequence[int], other: Sequence[int]) -> Optional[bool]:
+    """None when the role is an indecomposable subquandle; otherwise whether it
+    splits into exactly two inner-orbit parts that every element of the other
+    role swaps."""
+    sub, labels = subquandle(q, role)
+    orbs = inner_orbits(sub)
+    if len(orbs) == 1:
+        return None
+    if len(orbs) != 2:
+        return False
+    parts = [{labels[k - 1] for k in orb} for orb in orbs]
+    return all(
+        {q.op(x, y) for y in parts[0]} == parts[1] and {q.op(x, y) for y in parts[1]} == parts[0]
+        for x in other
+    )
+
+
 def size_bound_check(ctx: TwoOrbitContext, m: int) -> Optional[bool]:
     """Whether |orbit_v| exceeds the size bound (2m-1 commuting, 2m otherwise)
     that vanishing of the (m+1)-st adjoint power forces.
@@ -277,20 +295,7 @@ def size_bound_check(ctx: TwoOrbitContext, m: int) -> Optional[bool]:
     every W element swaps."""
     if m < 1:
         raise InputError("m must be >= 1")
-    sub, labels = subquandle(ctx.quandle, ctx.orbit_v)
-    orbs = inner_orbits(sub)
-    if len(orbs) == 1:
-        applicable = True
-    elif len(orbs) == 2:
-        parts = [{labels[k - 1] for k in orb} for orb in orbs]
-        applicable = all(
-            {ctx.quandle.op(x, y) for y in parts[0]} == parts[1]
-            and {ctx.quandle.op(x, y) for y in parts[1]} == parts[0]
-            for x in ctx.orbit_w
-        )
-    else:
-        applicable = False
-    if not applicable:
+    if _swapped_halves(ctx.quandle, ctx.orbit_v, ctx.orbit_w) is False:
         return None
     bound = 2 * m - 1 if ctx.commuting else 2 * m
     return len(ctx.orbit_v) > bound
@@ -310,18 +315,7 @@ def nc_w_orbit_decomposition_ok(ctx: TwoOrbitContext) -> Optional[bool]:
     """Non-commuting branch: when the W orbit is decomposable as a subquandle,
     vanishing of the second adjoint power forces exactly two inner-orbit parts
     swapped by every V element.  None when the W orbit is indecomposable."""
-    sub, labels = subquandle(ctx.quandle, ctx.orbit_w)
-    orbs = inner_orbits(sub)
-    if len(orbs) == 1:
-        return None
-    if len(orbs) != 2:
-        return False
-    parts = [{labels[k - 1] for k in orb} for orb in orbs]
-    return all(
-        {ctx.quandle.op(x, y) for y in parts[0]} == parts[1]
-        and {ctx.quandle.op(x, y) for y in parts[1]} == parts[0]
-        for x in ctx.orbit_v
-    )
+    return _swapped_halves(ctx.quandle, ctx.orbit_w, ctx.orbit_v)
 
 
 def nc_commutative_w_orbit_ok(ctx: TwoOrbitContext) -> Optional[bool]:
@@ -559,42 +553,11 @@ def envelope_post_filter(cand: Candidate, max_cosets: int = 100_000) -> dict:
         for cls_v, cls_w in itertools.permutations(classes, 2):
             if len(cls_v) < len(cand.ctx.orbit_v) or len(cls_w) < len(cand.ctx.orbit_w):
                 continue
-            for f in _equivariant_injections(cand.ctx, group, cls_v, cls_w):
-                if induced_hom(q, f, group.mul, group.inv) is not None:
+            roles = [cls_v if x in cand.ctx.orbit_v else cls_w for x in q.elements()]
+            for f in embeddings(q, group.conj, roles):
+                if induced_hom(q, dict(zip(q.elements(), f)), group.mul, group.inv) is not None:
                     return {"eliminated": False, "embeds_in": name}
     return {"eliminated": True, "reason": "no conjugation-equivariant embedding into any catalog envelope"}
-
-
-def _equivariant_injections(ctx, group, cls_v, cls_w):
-    """Injective maps sending orbit roles into the given classes, conjugation
-    respected; backtracking over images."""
-    q = ctx.quandle
-    targets = {x: (cls_v if x in ctx.orbit_v else cls_w) for x in q.elements()}
-    elems = sorted(q.elements())
-
-    def extend(assign: dict[int, int]):
-        if len(assign) == q.n:
-            yield dict(assign)
-            return
-        x = next(e for e in elems if e not in assign)
-        for img in targets[x]:
-            if img in assign.values():
-                continue
-            assign[x] = img
-            ok = True
-            for a in assign:
-                for b in assign:
-                    c = q.op(a, b)
-                    if c in assign and group.conj(assign[a], assign[b]) != assign[c]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield from extend(assign)
-            del assign[x]
-
-    yield from extend({})
 
 
 def classify(
@@ -635,16 +598,20 @@ def classify(
             evaluate_candidate(cand)
             candidates.append(cand)
 
-    survivors = [c for c in candidates if c.status == "survivor"]
     matched: dict[str, dict] = {}
     flagged: list[dict] = []
-    for c in survivors:
+    rejections: list[dict] = []
+    for c in candidates:
         entry = {
             "table": [list(r) for r in c.quandle.table],
             "roles": {"orbit_v": list(c.ctx.orbit_v), "orbit_w": list(c.ctx.orbit_w)},
             "branch": c.branch,
         }
-        if c.matched_catalog_name:
+        if c.status == "rejected":
+            entry["rule_id"] = c.rule_id
+            entry["witness"] = c.witness
+            rejections.append(entry)
+        elif c.matched_catalog_name:
             slot = matched.setdefault(
                 c.matched_catalog_name,
                 {"matched_catalog_name": c.matched_catalog_name, "realizations": []},
@@ -655,17 +622,6 @@ def classify(
             entry["post_filter"] = envelope_post_filter(c)
             flagged.append(entry)
 
-    rejections = [
-        {
-            "table": [list(r) for r in c.quandle.table],
-            "roles": {"orbit_v": list(c.ctx.orbit_v), "orbit_w": list(c.ctx.orbit_w)},
-            "branch": c.branch,
-            "rule_id": c.rule_id,
-            "witness": c.witness,
-        }
-        for c in candidates
-        if c.status == "rejected"
-    ]
     return {
         "n_max": n_max,
         "branch": branch,

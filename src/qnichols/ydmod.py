@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, one
 from .envgroup import FinGroup
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, ResourceCapError
 from .quandle import Quandle
 
 
@@ -164,6 +164,13 @@ def double_braiding(v: YDModule, w: YDModule) -> CycMatrix:
 # -- concrete constructions ------------------------------------------------------
 
 
+#: The largest abelian group built, from an explicit group or a diagonal spec.
+#: Its multiplication table has order^2 entries: at the cap Z_32 x Z_32 takes
+#: about 3.7 s and a diagonal ``adjoint`` run about 60 MiB; order 1,296 takes
+#: 5.1 s and 86 MiB.
+MAX_GROUP_ORDER = 1024
+
+
 def abelian_group(orders: Sequence[int]) -> FinGroup:
     """Direct product of cyclic groups as a FinGroup (identity = all zeros)."""
     if not isinstance(orders, (list, tuple)) or not orders or any(
@@ -173,6 +180,8 @@ def abelian_group(orders: Sequence[int]) -> FinGroup:
     total = 1
     for n in orders:
         total *= n
+    if total > MAX_GROUP_ORDER:
+        raise ResourceCapError(f"abelian group order {total} exceeds cap {MAX_GROUP_ORDER}")
 
     def decode(a: int) -> tuple[int, ...]:
         out = []

@@ -59,6 +59,34 @@ def test_quandle_iso(capsys, tmp_path):
     assert data["isomorphic"] is True and len(data["map"]) == 4
 
 
+def _relabeled(q, f) -> list[list[int]]:
+    """The table of q with element i renamed f[i-1]."""
+    table = [[0] * q.n for _ in q.elements()]
+    for i in q.elements():
+        for j in q.elements():
+            table[f[i - 1] - 1][f[j - 1] - 1] = f[q.op(i, j) - 1]
+    return table
+
+
+@pytest.mark.parametrize(
+    "name, perm, iso_map",
+    [
+        ("(12)^S4", [4, 6, 1, 5, 3, 2], [1, 2, 4, 5, 3, 6]),
+        ("Aff(5,2)", [3, 5, 2, 1, 4], [1, 2, 4, 5, 3]),
+        ("Z_4^{4,2}", [5, 2, 6, 1, 3, 4], [1, 3, 5, 6, 2, 4]),
+    ],
+)
+def test_quandle_iso_relabeled_output_pinned(capsys, tmp_path, name, perm, iso_map):
+    # the first isomorphism found is part of the output, so pin it exactly
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.qnd"
+    a.write_text(json.dumps({"table": _relabeled(catalog(name), perm)}))
+    b.write_text(catalog(name).to_text())
+    code, out = run(capsys, "quandle", "--iso", str(a), str(b))
+    assert code == 0
+    assert out == json.dumps({"isomorphic": True, "map": iso_map}, sort_keys=True, indent=2) + "\n"
+
+
 def test_quandle_malformed_file_exit2(capsys, tmp_path):
     path = tmp_path / "bad.qnd"
     path.write_text("3\n1 2\n")
@@ -311,6 +339,27 @@ def test_adjoint_diagonal(capsys, tmp_path):
     code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
     assert code == 0
     assert json.loads(out)["dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # Z_70 x Z_70: the lcm of the scalar orders 5, 7, 1 and 2
+        {"diagonal": {"q11": "z5", "q12": "z7", "q21": "1", "q22": "-1"}},
+        {
+            "group": {"type": "abelian", "orders": [100000]},
+            "V": {"class_rep": 1},
+            "W": {"class_rep": 1},
+        },
+    ],
+    ids=["diagonal", "abelian"],
+)
+def test_adjoint_abelian_group_order_cap_exit3(capsys, tmp_path, spec):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert code == 3
+    assert out == ""
 
 
 def test_adjoint_s4_pair_m3_output_pinned(capsys, tmp_path):

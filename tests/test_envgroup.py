@@ -183,6 +183,8 @@ def test_sl23_structure():
     assert sorted(len(c) for c in g.conjugacy_classes()) == [1, 1, 4, 4, 4, 4, 6]
     assert g.has_abelian_centralizers()
     assert [grading[i] for i in images] == [1, 1, 1, 1]
+    # the first conjugation-preserving bijection onto the least order-3 class
+    assert images == (3, 8, 9, 20)
     # grading kernel is the order-8 Sylow subgroup
     assert sum(1 for a in range(24) if grading[a] == 0) == 8
 

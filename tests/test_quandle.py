@@ -281,6 +281,80 @@ def test_canonical_table_invariant_under_relabeling(data):
     assert Q.isomorphic(q, Q.Quandle(Q.canonical_table(q))) is not None
 
 
+def _brute_embeddings(q: Q.Quandle, op, candidates) -> list[tuple]:
+    """The oracle for ``embeddings``: every injection into the candidates'
+    union, filtered by membership and f(a > b) = op(f(a), f(b)), then sorted
+    into the promised order (lexicographic in candidate positions, elements
+    taken by candidate-list length, then label)."""
+    from itertools import permutations
+
+    pool = sorted({y for c in candidates for y in c})
+    found = [
+        f
+        for f in permutations(pool, q.n)
+        if all(f[x - 1] in candidates[x - 1] for x in q.elements())
+        and all(
+            f[q.op(a, b) - 1] == op(f[a - 1], f[b - 1]) for a in q.elements() for b in q.elements()
+        )
+    ]
+    order = sorted(q.elements(), key=lambda x: (len(candidates[x - 1]), x))
+    return sorted(found, key=lambda f: [list(candidates[x - 1]).index(f[x - 1]) for x in order])
+
+
+def _candidate_lists(q: Q.Quandle, r: Q.Quandle) -> list[list[list[int]]]:
+    """Candidate lists for maps q -> r: every element; the elements whose
+    translation has the same cycle type, in reverse label order; and every
+    element for label 1 but only labels 2..n for the rest, which forced values
+    must respect."""
+    n, everything = q.n, list(r.elements())
+    same_type = [
+        [y for y in reversed(everything) if Q.perm_cycle_type(r.row(y)) == Q.perm_cycle_type(row)]
+        for row in q.table
+    ]
+    return [[everything] * n, same_type, [everything] + [list(range(2, n + 1))] * (n - 1)]
+
+
+def test_embeddings_match_brute_force_on_catalog_and_census():
+    import random
+
+    rng = random.Random(0)
+    census = [q for n in range(1, 6) for q in census_classes(n)]
+    for q in CATALOG + census:
+        f = list(q.elements())
+        rng.shuffle(f)
+        relabeled = Q.Quandle(_relabel(q, f))
+        for r in (q, relabeled):
+            for candidates in _candidate_lists(q, r):
+                found = list(Q.embeddings(q, r.op, candidates))
+                assert found == _brute_embeddings(q, r.op, candidates), (q, r, candidates)
+        isomorphisms = _brute_embeddings(q, relabeled.op, [list(q.elements())] * q.n)
+        assert Q.isomorphic(q, relabeled).map in isomorphisms
+
+
+def test_embeddings_into_envelope_classes_match_brute_force():
+    from itertools import permutations
+
+    from qnichols.envgroup import finite_enveloping_group
+
+    group = finite_enveloping_group(Q.catalog("(12)^S4")).group
+    classes = group.conjugacy_classes()
+    s3 = Q.catalog("(12)^S3")
+    for cls in classes:
+        candidates = [list(cls)] * 3
+        found = list(Q.embeddings(s3, group.conj, candidates))
+        assert found == _brute_embeddings(s3, group.conj, candidates)
+    z331 = Q.catalog("Z_3^{3,1}")
+    orbit_v, orbit_w = Q.inner_orbits(z331)
+    seen = 0
+    for cls_v, cls_w in permutations(classes, 2):
+        for roles in ((orbit_v, orbit_w), (orbit_w, orbit_v)):
+            candidates = [list(cls_v if x in roles[0] else cls_w) for x in z331.elements()]
+            found = list(Q.embeddings(z331, group.conj, candidates))
+            assert found == _brute_embeddings(z331, group.conj, candidates)
+            seen += len(found)
+    assert seen > 0
+
+
 def test_automorphisms_match_brute_force_on_catalog():
     from itertools import permutations
 

@@ -462,3 +462,42 @@ def test_envelope_post_filter_accepts_genuine():
     cand = S.Candidate(q, ctx, "nc")
     out = S.envelope_post_filter(cand)
     assert out["eliminated"] is False
+
+
+_ELIMINATED = {
+    "eliminated": True,
+    "reason": "no conjugation-equivariant embedding into any catalog envelope",
+}
+
+# envelope_post_filter on two_orbit_candidates(6), for the role splits
+# (first orbit, second orbit) and (second, first): the catalog envelope the
+# class embeds in, or None when the class is eliminated
+_POST_FILTER_N6 = [
+    ("Z_T^{4,1}", "Z_T^{4,1}"),
+    ("Z_3^{3,1}", "Z_3^{3,1}"),
+    ("Z_2^{2,2}", "Z_2^{2,2}"),
+    ("Z_T^{4,1}", "Z_T^{4,1}"),
+    (None, None),
+    ("Z_3^{3,1}", "Z_3^{3,1}"),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    (None, None),
+    ("Z_4^{4,2}", "Z_4^{4,2}"),
+    ("Z_3^{3,2}", "Z_3^{3,2}"),
+]
+
+
+def test_envelope_post_filter_verdicts_pinned_n6():
+    classes = S.two_orbit_candidates(6)
+    assert len(classes) == len(_POST_FILTER_N6)
+    for q, expected in zip(classes, _POST_FILTER_N6):
+        orb1, orb2 = Q.inner_orbits(q)
+        for (ov, ow), name in zip(((orb1, orb2), (orb2, orb1)), expected):
+            ctx = S.TwoOrbitContext(q, ov, ow)
+            verdict = S.envelope_post_filter(S.Candidate(q, ctx, "comm" if ctx.commuting else "nc"))
+            embedded = {"eliminated": False, "embeds_in": name}
+            assert verdict == (_ELIMINATED if name is None else embedded), q
