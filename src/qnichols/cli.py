@@ -182,12 +182,12 @@ def _build_group(spec) -> envgroup.FinGroup:
             return envgroup.sl23()[0]
         kind, _, name = spec.partition(":")
         if kind == "enveloping" and name:
-            return envgroup.finite_enveloping_group(quandle.catalog(name)).group
+            return envgroup.catalog_envelope(name)[0].group
         raise InputError(f"unknown group reference {spec!r}")
     kind = _object(spec, "group").get("type")
     if kind == "enveloping":
         name = _field(spec, "quandle", "group")
-        return envgroup.finite_enveloping_group(quandle.catalog(name)).group
+        return envgroup.catalog_envelope(name)[0].group
     if kind == "sl23":
         return envgroup.sl23()[0]
     if kind == "abelian":

@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
-from .quandle import Quandle, inner_orbits
+from .quandle import Quandle, catalog, embeddings, inner_orbits
 
 Word = tuple[int, ...]  # signed 1-based generator indices
 
@@ -77,6 +78,11 @@ def _cyclic_variants(w: Word) -> list[Word]:
 # -- Todd-Coxeter -------------------------------------------------------------
 
 
+def _columns(word: Word) -> tuple[int, ...]:
+    """Coset-table columns of a word: 2k for x_{k+1}, 2k + 1 for its inverse."""
+    return tuple(2 * (v - 1) if v > 0 else 2 * (-v - 1) + 1 for v in word)
+
+
 class _CosetTable:
     """HLT coset enumeration over the trivial subgroup."""
 
@@ -85,10 +91,7 @@ class _CosetTable:
         self.max_cosets = max_cosets
         self.table: list[list[Optional[int]]] = [[None] * self.ncols]
         self.p = [0]
-        self.words = [self._to_cols(w) for w in relators]
-
-    def _to_cols(self, word: Word) -> tuple[int, ...]:
-        return tuple(2 * (v - 1) if v > 0 else 2 * (-v - 1) + 1 for v in word)
+        self.words = [_columns(w) for w in relators]
 
     @staticmethod
     def _inv(col: int) -> int:
@@ -253,16 +256,9 @@ class FinGroup:
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
 
     def _validate(self) -> None:
+        self._validate_rows()
         n = self.order
         rng = range(n)
-        for row in self.mult:
-            if len(row) != n or any(not 0 <= v < n for v in row):
-                raise InputError("malformed multiplication table")
-        if any(self.mult[0][a] != a or self.mult[a][0] != a for a in rng):
-            raise InputError("element 0 is not an identity")
-        for a in rng:
-            if len(set(self.mult[a])) != n:
-                raise InputError("rows must be permutations")
         if n <= 64:
             self.validate_associativity()
         else:
@@ -274,6 +270,18 @@ class FinGroup:
                     for c in sample:
                         if self.mult[ab][c] != self.mult[a][self.mult[b][c]]:
                             raise InputError("multiplication is not associative")
+
+    def _validate_rows(self) -> None:
+        """Shape, identity and permutation-row checks of the table."""
+        n = self.order
+        for row in self.mult:
+            if len(row) != n or min(row) < 0 or max(row) >= n:
+                raise InputError("malformed multiplication table")
+        if any(self.mult[0][a] != a or self.mult[a][0] != a for a in range(n)):
+            raise InputError("element 0 is not an identity")
+        for row in self.mult:
+            if len(set(row)) != n:
+                raise InputError("rows must be permutations")
 
     def validate_associativity(self) -> None:
         """Full associativity check (cubic; intended for order <= 256)."""
@@ -525,7 +533,7 @@ def finite_enveloping_group(q: Quandle, max_cosets: int = 100_000) -> Enveloping
         power_relators.append(tuple([r] * q.row_order(r)))
     full = Presentation(pres.generators, pres.relators + tuple(power_relators))
     table = todd_coxeter(full, max_cosets)
-    group, images = _group_from_regular_table(table, full.generators)
+    group, images = _group_from_regular_table(table, full)
     return EnvelopingGroup(
         quandle=q,
         group=group,
@@ -535,34 +543,86 @@ def finite_enveloping_group(q: Quandle, max_cosets: int = 100_000) -> Enveloping
     )
 
 
+# Bound on the (name, max_cosets) pairs that catalog_envelope keeps.
+_CATALOG_ENVELOPES = 32
+
+
+def catalog_envelope(
+    name: str, max_cosets: int = 100_000
+) -> tuple[EnvelopingGroup, tuple[tuple[int, ...], ...]]:
+    """The finite enveloping group of the catalog quandle ``name`` and its
+    conjugacy classes, built on first use and kept per (name, max_cosets).
+
+    Callers share the returned objects and must not change them."""
+    if not isinstance(name, str):
+        raise InputError(f"catalog name must be a string, got {name!r}")
+    return _catalog_envelope(name, max_cosets)
+
+
+@lru_cache(maxsize=_CATALOG_ENVELOPES)
+def _catalog_envelope(name: str, max_cosets: int):
+    env = finite_enveloping_group(catalog(name), max_cosets)
+    return env, tuple(env.group.conjugacy_classes())
+
+
 def _group_from_regular_table(
-    table: list[list[int]], gen_names: Sequence[str]
+    table: list[list[int]], pres: Presentation
 ) -> tuple[FinGroup, list[int]]:
-    """Build a multiplication table from the regular (trivial-subgroup) coset table."""
+    """The group whose regular action is the trivial-subgroup coset table T.
+
+    Element b is the coset reached from 0 by its shortest column word, and
+    mult[a][b] traces that word from a.  The check is complete: column 2k + 1
+    inverts column 2k; every generator column s has T[mult[a][b]][s] ==
+    mult[a][T[b][s]], so the right actions b -> mult[.][b] are closed under
+    the generators and form a group acting regularly, with table mult; and
+    every relator traced from coset 0 returns to 0."""
     n = len(table)
-    ngens = len(gen_names)
-    # shortest column word reaching each element (BFS from identity)
+    ngens = len(pres.generators)
+    if any(len(row) != 2 * ngens or any(not 0 <= v < n for v in row) for row in table):
+        raise InvariantViolationError("malformed coset table")
+    by_col = [tuple(row[s] for row in table) for s in range(2 * ngens)]
+    identity = tuple(range(n))
+    for k in range(ngens):
+        if _gather(by_col[2 * k + 1], by_col[2 * k]) != identity:
+            raise InvariantViolationError(f"coset table columns {2 * k}, {2 * k + 1} are not inverse")
+    # BFS from the identity: the shortest column word of each element, and its
+    # column of mult, one table column applied to its parent's
     word: list[Optional[tuple[int, ...]]] = [None] * n
+    column: list[tuple[int, ...]] = [identity] * n
     word[0] = ()
     queue = deque([0])
     while queue:
         a = queue.popleft()
-        for col in range(2 * ngens):
-            b = table[a][col]
+        for s, col in enumerate(by_col):
+            b = col[a]
             if word[b] is None:
-                word[b] = word[a] + (col,)
+                word[b] = word[a] + (s,)
+                column[b] = _gather(col, column[a])
                 queue.append(b)
-    mult = [[0] * n for _ in range(n)]
-    for a in range(n):
+    if None in word:
+        raise InvariantViolationError("coset table is not connected")
+    for col in by_col[::2]:
         for b in range(n):
-            x = a
-            for col in word[b]:
-                x = table[x][col]
-            mult[a][b] = x
-    names = [_render_word(w, gen_names) for w in word]
+            if column[col[b]] != _gather(col, column[b]):
+                raise InvariantViolationError("coset table is not the regular action of a group")
+    for rel in pres.relators:
+        x = 0
+        for s in _columns(rel):
+            x = table[x][s]
+        if x != 0:
+            raise InvariantViolationError(f"relator {rel} does not close on the coset table")
+    names = [_render_word(w, pres.generators) for w in word]
     images = [table[0][2 * k] for k in range(ngens)]
-    group = FinGroup(mult, names, generator_ids=images, check=True)
+    group = FinGroup(list(zip(*column)), names, generator_ids=images, check=False)
+    group._validate_rows()
     return group, images
+
+
+def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:
+    """tuple(seq[i] for i in idx), through one C-level itemgetter call."""
+    if len(idx) == 1:
+        return (seq[idx[0]],)
+    return itemgetter(*idx)(seq)
 
 
 def _render_word(word: tuple[int, ...], gen_names: Sequence[str]) -> str:
@@ -828,8 +888,6 @@ def sl23() -> tuple[FinGroup, tuple[int, ...], tuple[int, ...]]:
 def _embed_tetrahedral(group: FinGroup, cls: Sequence[int]) -> tuple[int, ...]:
     """First lexicographic conjugation-preserving bijection from the
     tetrahedral quandle onto the given 4-element class."""
-    from .quandle import catalog, embeddings
-
     q = catalog("(123)^A4")
     f = next(embeddings(q, group.conj, [sorted(cls)] * q.n), None)
     if f is None:

@@ -543,13 +543,12 @@ def envelope_post_filter(cand: Candidate, max_cosets: int = 100_000) -> dict:
 
     A genuine support must embed this way by the universal property; a
     flagged extra that embeds nowhere is eliminated."""
-    from .envgroup import finite_enveloping_group, induced_hom
+    from .envgroup import catalog_envelope, induced_hom
 
     q = cand.quandle
     for name in Z_QUANDLE_NAMES:
-        env = finite_enveloping_group(catalog(name), max_cosets)
+        env, classes = catalog_envelope(name, max_cosets)
         group = env.group
-        classes = [c for c in group.conjugacy_classes()]
         for cls_v, cls_w in itertools.permutations(classes, 2):
             if len(cls_v) < len(cand.ctx.orbit_v) or len(cls_w) < len(cand.ctx.orbit_w):
                 continue

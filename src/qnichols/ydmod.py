@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, one
-from .envgroup import FinGroup
+from .envgroup import FinGroup, catalog_envelope
 from .errors import InputError, InvariantViolationError, ResourceCapError
 from .quandle import Quandle
 
@@ -246,10 +246,7 @@ def diagonal_pair(
 def transposition_module(sign: Optional[CycNum] = None) -> YDModule:
     """The dim-3 module over the symmetric-group-on-3-letters envelope:
     class of a transposition with the order-2 centralizer character."""
-    from .envgroup import finite_enveloping_group
-    from .quandle import catalog
-
-    env = finite_enveloping_group(catalog("(12)^S3"))
+    env, _ = catalog_envelope("(12)^S3")
     rep = env.images[0]
     chi_val = sign if sign is not None else CycNum.rational(-1)
     # the centralizer {e, rep} is generated by the class representative itself

@@ -5,10 +5,10 @@ from functools import lru_cache
 
 import pytest
 
-from qnichols import supportcalc, weyl
+from qnichols import cli, envgroup, supportcalc, weyl
 from qnichols.cli import main
 from qnichols.errors import InvariantViolationError
-from qnichols.quandle import MAX_QUANDLE_SIZE, catalog
+from qnichols.quandle import MAX_QUANDLE_SIZE, catalog, catalog_names
 
 
 @pytest.fixture()
@@ -185,6 +185,71 @@ def test_adjoint_group_ref_string(capsys, tmp_path):
     code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
     assert code == 0
     assert json.loads(out)["dim"] == 4
+
+
+# sha256 of `envgroup --catalog NAME` stdout, plain and with --export-group
+_ENVGROUP_CATALOG_SHA256 = {
+    "(12)^S3": (
+        "952f8166b9a6452ab1b24b5acd8e627328ef1b9f741cebc0a226dd48b4a654fe",
+        "9d8e33499974787921768350f210fceb6253f967c8ed50d2ae5c3c8425b32de5",
+    ),
+    "(12)^S4": (
+        "afb57468a7a0cd0ca43cf814263f758c8e2aeb226fa974ee165539018a9a260a",
+        "ceb5d54fbdafcff8369504969603df71bfc300981e60210556154eeda02adb92",
+    ),
+    "(123)^A4": (
+        "5447e83dad14882ab08307de71311027707177ab859d5c472cf68faf09057326",
+        "ec6b147fca4ba9bfabbf35d0179a3bf56074bf0682a5df84537c8055c253d461",
+    ),
+    "(1234)^S4": (
+        "752f40a9ceceb6bdcf7481f4ce80210d6e715dc2f9138d6a49d9b6848fd62e42",
+        "a2efd2ec64f8ffbac6e7ba008d0efdcf3bcc2042d0c731a8cbdc9b02445a1231",
+    ),
+    "Aff(5,2)": (
+        "d9e82bee5a9de86f0716640779fc32fda5725781db68504986199fba2ce7f48a",
+        "0be293eb3be15bd85f7dc35413a88a371a4f2e9fa32133eae9f314dcf04e6c67",
+    ),
+    "Aff(5,3)": (
+        "d9e82bee5a9de86f0716640779fc32fda5725781db68504986199fba2ce7f48a",
+        "2db18dfb6cd03f0564c27cf0732b2ed8ff1ab04e9aa5f55b3ce3051be8fe9b0e",
+    ),
+    "Aff(5,4)": (
+        "f2397bbd1b23a575b3eba2c0deaeb12a245ecc944a5b42fd397112f5db92b036",
+        "cebcee108219d29a6f29ba902418331fc95ec664593ad064723d0460bcc0b98d",
+    ),
+    "Z_2^{2,2}": (
+        "8fae126f7c49d25c2280b6d35a01bc090cdf3c2093b8325d04307bc56ae1c6e8",
+        "de092760888bfda2f363b2550c865321eef545d1cc842ba9daa6174d3fb9ff92",
+    ),
+    "Z_3^{3,1}": (
+        "1a1e3aa44e90f1fc20af453186b1914a842c31054bbf71c25718cc91442acbdc",
+        "2e416c38f940d0ed026f812b336d09eac3fe616d6d98c6c6f407cc1b84f131b4",
+    ),
+    "Z_3^{3,2}": (
+        "80e49e847294588cbf5586229993ccc2d52a301feb3eaf13af65d91d99128922",
+        "d8ecf70b6fbb30e6dbdfd4ef694b104c9e8b4a3ce398f3e64210d31d74e1ecc4",
+    ),
+    "Z_4^{4,2}": (
+        "020b9992829dda69fa7859f969202d0917ea470712be517eeaf1492bf7ec68e7",
+        "dbfceeee1ece1b525a188eed21c789a29b272fb2c088e647de64edabb60cb62e",
+    ),
+    "Z_T^{4,1}": (
+        "e47d79561e02408f37df3285fe007e9a45a1fa7a02c40443840c416a66fc5fb6",
+        "59e1beb3db6c9fee7abac939f651a223e66ac0d2fd18346437812a35d3e4c713",
+    ),
+}
+
+
+def test_envgroup_catalog_pins_cover_the_catalog():
+    assert sorted(_ENVGROUP_CATALOG_SHA256) == catalog_names()[1:]
+
+
+@pytest.mark.parametrize("name", sorted(_ENVGROUP_CATALOG_SHA256))
+def test_envgroup_catalog_output_pinned(capsys, name):
+    for flags, sha256 in zip(((), ("--export-group",)), _ENVGROUP_CATALOG_SHA256[name]):
+        code, out = run(capsys, "envgroup", "--catalog", name, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, (name, flags)
 
 
 def test_envgroup_coset_cap_exit3(capsys, tmp_path):
@@ -508,6 +573,30 @@ def test_adjoint_missing_key_exit2(capsys, tmp_path, spec):
     code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "key, group",
+    [
+        ("group_ref", "enveloping:nope"),
+        ("group", {"type": "enveloping", "quandle": "nope"}),
+        ("group", {"type": "enveloping", "quandle": ["(12)^S3"]}),
+    ],
+    ids=["ref-unknown", "type-unknown", "type-list"],
+)
+def test_adjoint_unknown_envelope_exit2_caches_nothing(capsys, tmp_path, key, group):
+    before = envgroup._catalog_envelope.cache_info().currsize
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps({key: group, "V": S3_MODULE, "W": S3_MODULE}))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert (code, out) == (2, "")
+    assert envgroup._catalog_envelope.cache_info().currsize == before
+
+
+def test_group_references_share_the_catalog_envelope():
+    by_ref = cli._build_group("enveloping:(12)^S4")
+    by_type = cli._build_group({"type": "enveloping", "quandle": "(12)^S4"})
+    assert by_ref is by_type is envgroup.catalog_envelope("(12)^S4")[0].group
 
 
 def test_internal_key_error_is_not_an_input_error(capsys, monkeypatch):

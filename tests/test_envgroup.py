@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import envgroup as E
-from qnichols.errors import InputError, ResourceCapError
-from qnichols.quandle import catalog, INDECOMPOSABLE_NAMES, Z_QUANDLE_NAMES
+from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
+from qnichols.quandle import catalog, catalog_names, INDECOMPOSABLE_NAMES, Z_QUANDLE_NAMES
 
 
 # -- presentations -------------------------------------------------------------
@@ -119,6 +119,97 @@ def test_enveloping_tables_satisfy_all_relators():
                 img = env.images[abs(v) - 1]
                 x = g.mul(x, img if v > 0 else g.inv(img))
             assert x == 0, (name, word)
+
+
+@pytest.mark.parametrize("name", catalog_names()[1:] + ["trivial(3)"])
+def test_catalog_envelope_matches_fresh_build(name):
+    env, classes = E.catalog_envelope(name)
+    fresh = E.finite_enveloping_group(catalog(name))
+    assert env.group.mult == fresh.group.mult
+    assert env.group.names == fresh.group.names
+    assert env.group.generator_ids == fresh.group.generator_ids
+    assert env.images == fresh.images
+    assert sorted(classes) == sorted(fresh.group.conjugacy_classes())
+    assert E.catalog_envelope(name) is E.catalog_envelope(name, 100_000)
+
+
+def test_catalog_envelope_classes_are_tuples():
+    _, classes = E.catalog_envelope("Z_4^{4,2}")
+    assert type(classes) is tuple
+    assert all(type(c) is tuple for c in classes)
+
+
+def test_catalog_envelope_cache_is_bounded_and_keyed_by_cap():
+    info = E._catalog_envelope.cache_info()
+    assert info.maxsize == E._CATALOG_ENVELOPES
+    E.catalog_envelope("(1234)^S4")
+    with pytest.raises(ResourceCapError):
+        E.catalog_envelope("(1234)^S4", 10)
+
+
+@pytest.mark.parametrize("name", ["nope", 3, ["(12)^S3"]])
+def test_catalog_envelope_rejects_unknown_names_and_caches_nothing(name):
+    before = E._catalog_envelope.cache_info().currsize
+    with pytest.raises(InputError):
+        E.catalog_envelope(name)
+    assert E._catalog_envelope.cache_info().currsize == before
+
+
+def _s4_4cycle_table() -> tuple[list[list[int]], E.Presentation]:
+    """The coset table of the order-96 (1234)^S4 envelope and its presentation."""
+    q = catalog("(1234)^S4")
+    env = E.finite_enveloping_group(q)
+    pres = E.enveloping_presentation(q)
+    full = E.Presentation(pres.generators, pres.relators + env.power_relators)
+    table = E.todd_coxeter(full)
+    assert len(table) == 96
+    return table, full
+
+
+def test_coset_table_check_accepts_the_enumerated_table():
+    table, full = _s4_4cycle_table()
+    group, _ = E._group_from_regular_table(table, full)
+    assert group.mult == E.finite_enveloping_group(catalog("(1234)^S4")).group.mult
+    group.validate_associativity()
+
+
+def test_coset_table_with_swapped_generator_entries_raises():
+    table, full = _s4_4cycle_table()
+    table[5][2], table[17][2] = table[17][2], table[5][2]
+    with pytest.raises(InvariantViolationError):
+        E._group_from_regular_table(table, full)
+
+
+def test_coset_table_check_is_complete_without_relators():
+    # swap two entries of a generator column and repair its inverse column:
+    # both stay permutations, so only the regularity closure can object
+    table, full = _s4_4cycle_table()
+    x, y = 5, 17
+    bx, by = table[x][2], table[y][2]
+    table[x][2], table[y][2] = by, bx
+    table[by][3], table[bx][3] = x, y
+    with pytest.raises(InvariantViolationError, match="regular action"):
+        E._group_from_regular_table(table, E.Presentation(full.generators, ()))
+
+
+def test_coset_table_inverse_columns_must_invert():
+    # read x1^-1 as x1: the table is still a regular action, but not of the
+    # presented generators and their inverses
+    table, full = _s4_4cycle_table()
+    for row in table:
+        row[1] = row[0]
+    with pytest.raises(InvariantViolationError, match="not inverse"):
+        E._group_from_regular_table(table, E.Presentation(full.generators, ()))
+
+
+def test_coset_table_relators_must_close():
+    # a genuine regular action of the wrong group: the (12)^S4 relators fail
+    table, full = _s4_4cycle_table()
+    other = E.enveloping_presentation(catalog("(12)^S4"))
+    assert other.generators == full.generators
+    E._group_from_regular_table(table, E.Presentation(full.generators, ()))
+    with pytest.raises(InvariantViolationError, match="relator"):
+        E._group_from_regular_table(table, other)
 
 
 def test_decomposable_extension_flag():

@@ -1,9 +1,10 @@
 import pytest
 
+from qnichols import envgroup as E
 from qnichols import quandle as Q
 from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
-from qnichols.quandle import Quandle, catalog
+from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 
 
 def adjoin_fixed_point(q: Quandle) -> Quandle:
@@ -501,3 +502,43 @@ def test_envelope_post_filter_verdicts_pinned_n6():
             verdict = S.envelope_post_filter(S.Candidate(q, ctx, "comm" if ctx.commuting else "nc"))
             embedded = {"eliminated": False, "embeds_in": name}
             assert verdict == (_ELIMINATED if name is None else embedded), q
+
+
+def _eliminated_candidate() -> S.Candidate:
+    # the 3+2 quandle of test_envelope_post_filter_eliminates_nonexample: its
+    # post-filter tries all five catalog envelopes
+    q5 = Quandle(
+        [
+            [1, 2, 3, 5, 4],
+            [1, 2, 3, 5, 4],
+            [1, 2, 3, 5, 4],
+            [2, 3, 1, 4, 5],
+            [2, 3, 1, 4, 5],
+        ]
+    )
+    return S.Candidate(q5, S.TwoOrbitContext(q5, (4, 5), (1, 2, 3)), "nc")
+
+
+def test_envelope_post_filter_builds_each_catalog_envelope_once(monkeypatch):
+    built = []
+    todd_coxeter = E.todd_coxeter
+
+    def counting(pres, max_cosets=100_000):
+        built.append(pres)
+        return todd_coxeter(pres, max_cosets)
+
+    monkeypatch.setattr(E, "todd_coxeter", counting)
+    E._catalog_envelope.cache_clear()
+    cand = _eliminated_candidate()
+    assert S.envelope_post_filter(cand)["eliminated"] is True
+    assert len(set(built)) == len(built) == len(Z_QUANDLE_NAMES)
+    del built[:]
+    assert S.envelope_post_filter(cand)["eliminated"] is True
+    assert built == []
+
+
+def test_envelope_post_filter_smaller_cap_raises_after_warm_cache():
+    cand = _eliminated_candidate()
+    assert S.envelope_post_filter(cand)["eliminated"] is True
+    with pytest.raises(ResourceCapError):
+        S.envelope_post_filter(cand, max_cosets=10)
