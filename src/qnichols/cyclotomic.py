@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
@@ -80,10 +80,6 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _rat(c: Rat) -> Rat:
     """The normal form of a rational: an int if it is integral, else a Fraction."""
     if type(c) is int:
@@ -146,7 +142,7 @@ class CycNum:
     def _pair(self, other: "CycNum") -> tuple["CycNum", "CycNum"]:
         if self.N == other.N:
             return self, other
-        m = _lcm(self.N, other.N)
+        m = lcm(self.N, other.N)
         return self.lift(m), other.lift(m)
 
     def __add__(self, other) -> "CycNum":

@@ -257,19 +257,7 @@ class FinGroup:
 
     def _validate(self) -> None:
         self._validate_rows()
-        n = self.order
-        rng = range(n)
-        if n <= 64:
-            self.validate_associativity()
-        else:
-            stride = max(1, n // 24)
-            sample = list(rng)[::stride]
-            for a in sample:
-                for b in sample:
-                    ab = self.mult[a][b]
-                    for c in sample:
-                        if self.mult[ab][c] != self.mult[a][self.mult[b][c]]:
-                            raise InputError("multiplication is not associative")
+        self.validate_associativity()
 
     def _validate_rows(self) -> None:
         """Shape, identity and permutation-row checks of the table."""
@@ -324,15 +312,13 @@ class FinGroup:
         return all(self.mult[a][b] == self.mult[b][a] for a in elems for b in elems)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.order
+        seen: set[int] = set()
         classes = []
         for a in range(self.order):
-            if seen[a]:
-                continue
-            cls = sorted({self.conj(t, a) for t in range(self.order)})
-            for x in cls:
-                seen[x] = True
-            classes.append(tuple(cls))
+            if a not in seen:
+                cls = self.conjugacy_class_of(a)
+                seen.update(cls)
+                classes.append(cls)
         return classes
 
     def conjugacy_class_of(self, a: int) -> tuple[int, ...]:
@@ -423,80 +409,21 @@ def iter_isomorphisms(
 ) -> Iterator[tuple[int, ...]]:
     """Yield isomorphisms g -> h (as image tuples), honoring a partial map.
 
-    Backtracks over images of a greedy generating sequence; prunes on element
-    orders.  Intended for small groups (isoclinism bound)."""
+    One ``quandle.embeddings`` search on the multiplication table of g,
+    shifted to 1-based labels: each element's candidates are the elements of
+    h of the same order, or its one prescribed image."""
     if g.order != h.order:
         return
-    image: dict[int, int] = {0: 0}
-    used = {0}
-    if partial:
-        for a, b in partial.items():
-            if image.get(a, b) != b or (a not in image and b in used):
-                return
-            image[a] = b
-            used.add(b)
-        if not _close_map(g, h, image, used):
-            return
-
-    orders_h: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for x in range(h.order):
-        orders_h.setdefault(h.element_order(x), []).append(x)
-
-    def gen_sequence() -> list[int]:
-        seq = []
-        span = set(image)
-        while len(span) < g.order:
-            nxt = min(x for x in range(g.order) if x not in span)
-            seq.append(nxt)
-            span = set(g.subgroup_closure(list(image) + seq))
-            span |= set(image)
-            if len(seq) > 8:  # cannot happen at the supported orders
-                break
-        return seq
-
-    seq = gen_sequence()
-
-    def extend(k: int, image: dict[int, int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        while k < len(seq) and seq[k] in image:
-            k += 1
-        if len(image) == g.order:
-            yield tuple(image[a] for a in range(g.order))
-            return
-        if k >= len(seq):
-            return
-        a = seq[k]
-        for b in orders_h.get(g.element_order(a), []):
-            if b in used:
-                continue
-            img2 = dict(image)
-            used2 = set(used)
-            img2[a] = b
-            used2.add(b)
-            if _close_map(g, h, img2, used2):
-                yield from extend(k + 1, img2, used2)
-
-    yield from extend(0, image, used)
-
-
-def _close_map(g: FinGroup, h: FinGroup, image: dict[int, int], used: set[int]) -> bool:
-    """Close a partial homomorphism under products; False on contradiction."""
-    frontier = list(image)
-    while frontier:
-        a = frontier.pop()
-        for b in list(image):
-            for x, y in ((a, b), (b, a)):
-                prod = g.mult[x][y]
-                want = h.mult[image[x]][image[y]]
-                cur = image.get(prod)
-                if cur is None:
-                    if want in used:
-                        return False
-                    image[prod] = want
-                    used.add(want)
-                    frontier.append(prod)
-                elif cur != want:
-                    return False
-    return True
+        by_order.setdefault(h.element_order(x), []).append(x)
+    partial = partial or {}
+    candidates = [
+        [partial[a]] if a in partial else by_order.get(g.element_order(a), [])
+        for a in range(g.order)
+    ]
+    table = [[c + 1 for c in row] for row in g.mult]
+    yield from embeddings(table, h.mul, candidates)
 
 
 def are_isomorphic(g: FinGroup, h: FinGroup) -> bool:
@@ -889,7 +816,7 @@ def _embed_tetrahedral(group: FinGroup, cls: Sequence[int]) -> tuple[int, ...]:
     """First lexicographic conjugation-preserving bijection from the
     tetrahedral quandle onto the given 4-element class."""
     q = catalog("(123)^A4")
-    f = next(embeddings(q, group.conj, [sorted(cls)] * q.n), None)
+    f = next(embeddings(q.table, group.conj, [sorted(cls)] * q.n), None)
     if f is None:
         raise InvariantViolationError("tetrahedral quandle does not embed in the class")
     return f

@@ -4,9 +4,11 @@ A quandle on {1..n} is stored as an n x n table with ``table[i-1][j-1] = i > j``
 (row i is the one-line form of the left translation phi_i).  All elements are
 1-indexed integers; tables are row-major tuples of tuples.
 
-One search, ``embeddings``, finds every map f with f(a > b) = op(f(a), f(b)):
-isomorphisms, automorphisms and maps into a group under conjugation all call
-it.  Isomorphism classes of labeled quandles are keyed by ``canonical_table``.
+One search, ``embeddings``, finds every map f with f(a > b) = op(f(a), f(b))
+on a 1-based operation table: quandle isomorphisms and automorphisms, maps
+into a group under conjugation, and group isomorphisms (on a shifted
+multiplication table) all call it.  Isomorphism classes of labeled quandles
+are keyed by ``canonical_table``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
@@ -160,25 +163,7 @@ class QuandleIso:
 
 
 def perm_order(row: Sequence[int]) -> int:
-    n = len(row)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = row[j] - 1
-                length += 1
-            order = _lcm(order, length)
-    return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+    return lcm(*perm_cycle_type(row))
 
 
 def perm_cycle_type(row: Sequence[int]) -> tuple[int, ...]:
@@ -299,12 +284,17 @@ def _element_invariant(q: Quandle, orbits: list[tuple[int, ...]]) -> list[tuple]
 
 
 def embeddings(
-    q: Quandle,
+    table: Sequence[Sequence[int]],
     op: Callable[[Hashable, Hashable], Hashable],
     candidates: Sequence[Sequence[Hashable]],
 ) -> Iterator[tuple]:
-    """Yield every injective map f with f(x) in candidates[x-1] and
-    f(a > b) = op(f(a), f(b)), as a tuple whose entry x-1 is f(x).
+    """Yield every injective map f on {1..n} with f(x) in candidates[x-1] and
+    f(table[a-1][b-1]) = op(f(a), f(b)), as a tuple whose entry x-1 is f(x).
+
+    ``table`` is a 1-based operation table: a quandle's table gives maps that
+    respect a > b (isomorphisms, automorphisms, maps into a group under
+    conjugation), and a group's multiplication table shifted by one gives
+    group isomorphisms (``envgroup.iter_isomorphisms``).
 
     The search branches on the unassigned element with the shortest candidate
     list (ties go to the least label) and tries its candidates in list order,
@@ -312,9 +302,9 @@ def embeddings(
     closed under the rule before the next branch: a forced value must be
     unused and must lie in its candidate list.
     """
-    n, t = q.n, q.table
+    n = len(table)
     allowed = [set(c) for c in candidates]
-    order = sorted(q.elements(), key=lambda x: (len(candidates[x - 1]), x))
+    order = sorted(range(1, n + 1), key=lambda x: (len(candidates[x - 1]), x))
     image: list = [None] * (n + 1)
     used: set = set()
 
@@ -334,8 +324,8 @@ def embeddings(
             for b in range(1, n + 1):
                 fb = image[b]
                 if fb is not None:
-                    queue.append((t[a - 1][b - 1], op(fa, fb)))
-                    queue.append((t[b - 1][a - 1], op(fb, fa)))
+                    queue.append((table[a - 1][b - 1], op(fa, fb)))
+                    queue.append((table[b - 1][a - 1], op(fb, fa)))
         return True
 
     def extend() -> Iterator[tuple]:
@@ -371,7 +361,7 @@ def isomorphic(q1: Quandle, q2: Quandle) -> Optional[QuandleIso]:
     candidates = [
         [j for j in q2.elements() if inv2[j - 1] == inv1[i - 1]] for i in q1.elements()
     ]
-    f = next(embeddings(q1, q2.op, candidates), None)
+    f = next(embeddings(q1.table, q2.op, candidates), None)
     return None if f is None else QuandleIso(q1, q2, f)
 
 
@@ -628,7 +618,7 @@ def enumerate_quandles(n: int) -> Iterator[Quandle]:
 
 def automorphisms(q: Quandle) -> list[tuple[int, ...]]:
     """Every automorphism of q as a one-line map, in lexicographic order."""
-    return list(embeddings(q, q.op, [q.elements()] * q.n))
+    return list(embeddings(q.table, q.op, [q.elements()] * q.n))
 
 
 def _cycles_in_label_order(lengths: Sequence[int]) -> tuple[int, ...]:

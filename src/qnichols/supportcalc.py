@@ -553,7 +553,7 @@ def envelope_post_filter(cand: Candidate, max_cosets: int = 100_000) -> dict:
             if len(cls_v) < len(cand.ctx.orbit_v) or len(cls_w) < len(cand.ctx.orbit_w):
                 continue
             roles = [cls_v if x in cand.ctx.orbit_v else cls_w for x in q.elements()]
-            for f in embeddings(q, group.conj, roles):
+            for f in embeddings(q.table, group.conj, roles):
                 if induced_hom(q, dict(zip(q.elements(), f)), group.mul, group.inv) is not None:
                     return {"eliminated": False, "embeds_in": name}
     return {"eliminated": True, "reason": "no conjugation-equivariant embedding into any catalog envelope"}

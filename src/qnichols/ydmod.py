@@ -9,6 +9,7 @@ higher-dimensional can be supplied as explicit matrices.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, one
@@ -149,10 +150,10 @@ def braiding(v: YDModule, w: YDModule) -> CycMatrix:
     if v.group is not w.group:
         raise InputError("braiding requires modules over the same group")
     out = CycMatrix(w.dim * v.dim, v.dim * w.dim)
+    data = out.data
     for i in range(v.dim):
-        act = w.action(v.degree[i])
-        for k, j, val in act.iter_entries():
-            out.set(k * v.dim + i, i * w.dim + j, val)
+        for k, row in w.action(v.degree[i]).data.items():
+            data[k * v.dim + i] = {i * w.dim + j: val for j, val in row.items()}
     return out
 
 
@@ -224,8 +225,6 @@ def diagonal_pair(
     (1,0) with character q11^x q21^y, W in degree (0,1) with q12^x q22^y, so
     c(v (x) w) = q12 w (x) v and c(w (x) v) = q21 v (x) w.
     """
-    from math import lcm
-
     n = lcm(*(root_of_unity_order(q) for q in (q11, q12, q21, q22)))
     group = abelian_group([n, n])
     g_v = group.generator_ids[0]

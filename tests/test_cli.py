@@ -445,6 +445,71 @@ def test_adjoint_s4_pair_m3_output_pinned(capsys, tmp_path):
     )
 
 
+_S4_MODULE = {"class_rep": "x2", "character": {"x2": "-1", "x6": "-1"}}
+_ADJOINT_SPECS = {
+    "s3": {
+        "group": {"type": "enveloping", "quandle": "(12)^S3"},
+        "V": {"class_rep": "x1", "character": {"x1": "-1"}},
+        "W": {"class_rep": "x1", "character": {"x1": "-1"}},
+    },
+    "s4": {"group_ref": "enveloping:(12)^S4", "V": _S4_MODULE, "W": _S4_MODULE},
+    "diag-z3": {"diagonal": {"q11": "-1", "q12": "z3", "q21": "1", "q22": "-1"}},
+    "diag-z5": {"diagonal": {"q11": "z5", "q12": "z5", "q21": "z5", "q22": "-1"}},
+}
+
+
+@pytest.mark.parametrize(
+    "spec, m, sha256",
+    [
+        ("s3", 0, "1f72bbfc411403e80f88d455c8fa85236e1f3517f5c27b9b77ba9a86150a6759"),
+        ("s3", 1, "ec6adf5ca194baf26b1b0384ffd7e8de26ace29b5ced6d7649c3e7d3992380d2"),
+        ("s3", 2, "7b06ebc5787f8d8ef418e78922f048e07303b46f3a0f549d8f823c90e536fb34"),
+        ("s3", 3, "0547e38e3c542146906333e2aa78c5a02a140ff108973e9388fcd88fd469d33d"),
+        ("s4", 1, "475a5fe8d6d5f2ba1d73505cb8ec6c013564d61c96c3de15cd00f0c64cb8cec8"),
+        ("s4", 2, "3f2e20198617e57f20dd082ef59e445f9018d3cc020fbe86a95daa7a48844cfa"),
+        ("diag-z3", 1, "46100476d2e27db20d2efcb28ddbb5d43c51734cf9190b51a1b4ee71bd6201fd"),
+        ("diag-z3", 2, "b4cd6665b4672be277f2589c297b6f3542de1c405e6c4c6771a9dbc14733f59b"),
+        ("diag-z3", 3, "0547e38e3c542146906333e2aa78c5a02a140ff108973e9388fcd88fd469d33d"),
+        ("diag-z5", 1, "46100476d2e27db20d2efcb28ddbb5d43c51734cf9190b51a1b4ee71bd6201fd"),
+        ("diag-z5", 2, "3e5869979fd4429fbeaa13bf22a27cd06c554e537264265e8493a56679d51a6d"),
+        ("diag-z5", 3, "6680aea521e8878ca6f38c00961a795be89ff9df03c86f4f568bf181da0081a2"),
+    ],
+)
+def test_adjoint_output_pinned(capsys, tmp_path, spec, m, sha256):
+    """The exact bytes of the report on the S3 and S4 transposition pairs and
+    two diagonal pairs (q12 q21 = z3 with q11 = -1; q11 = z5, q12 q21 = z5^2)."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_ADJOINT_SPECS[spec]))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", str(m))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_adjoint_power_cap_exit3_before_sizing_a_tensor(capsys, tmp_path):
+    # the S4 pair at m = 6000: the cap message once tried to print 6^6000
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(_ADJOINT_SPECS["s4"]))
+    code = main(["adjoint", "--spec", str(path), "--m", "6000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+
+
+def test_adjoint_power_cap_exit3_on_one_dimensional_modules(capsys, tmp_path):
+    # every tensor power of a diagonal pair has dimension 1, so only the
+    # power cap bounds the run
+    import time
+
+    from qnichols.nichols import MAX_ADJOINT_POWER
+
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(_ADJOINT_SPECS["diag-z3"]))
+    start = time.perf_counter()
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", str(MAX_ADJOINT_POWER + 1))
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_adjoint_conductor_cap_exit3(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text(

@@ -287,6 +287,19 @@ def test_fingroup_validation():
         E.FinGroup([[1, 0], [0, 1]])  # 0 not identity
 
 
+def test_fingroup_validation_checks_every_triple_above_order_64():
+    # Z_72 with one intercalate swapped: rows stay permutations and 0 stays
+    # the identity, but 1 * 1 = 38 breaks associativity.  No failing triple
+    # lies in the multiples of 3, which a stride-3 sample would have checked.
+    n = 72
+    mult = [[(a + b) % n for b in range(n)] for a in range(n)]
+    for a, b in ((1, 1), (1, 37), (37, 1), (37, 37)):
+        mult[a][b] = (mult[a][b] + n // 2) % n
+    with pytest.raises(InputError, match="associative"):
+        E.FinGroup(mult)
+    assert E.FinGroup([[(a + b) % n for b in range(n)] for a in range(n)]).order == n
+
+
 def test_quotient_and_subgroup():
     g, _, _ = E.sl23()
     centre = g.center()
@@ -497,3 +510,108 @@ def test_isoclinism_transfers_abelian_centralizers():
         if w is not None and a.has_abelian_centralizers():
             assert b.has_abelian_centralizers()
     assert E.isoclinism_witness(d4, q8) is not None  # classic isoclinic pair
+
+
+def _assert_isoclinism(g: E.FinGroup, h: E.FinGroup, witness) -> None:
+    """zeta is an isomorphism G/Z(G) -> H/Z(H), eta one [G,G] -> [H,H], and
+    eta sends [a, b] to [zeta a, zeta b] on the first-preimage coset
+    representatives."""
+    zeta, eta = witness
+    qg, projg = g.quotient(g.center())
+    qh, projh = h.quotient(h.center())
+    dg, posg = g.subgroup(g.commutator_subgroup())
+    dh, posh = h.subgroup(h.commutator_subgroup())
+    for src, dst, f in ((qg, qh, zeta), (dg, dh, eta)):
+        assert sorted(f) == list(range(dst.order)) and len(f) == src.order
+        for a in range(src.order):
+            for b in range(src.order):
+                assert f[src.mul(a, b)] == dst.mul(f[a], f[b])
+    repg = [projg.index(c) for c in range(qg.order)]
+    reph = [projh.index(c) for c in range(qh.order)]
+    for a in range(qg.order):
+        for b in range(qg.order):
+            cg = posg[g.commutator(repg[a], repg[b])]
+            ch = posh[h.commutator(reph[zeta[a]], reph[zeta[b]])]
+            assert eta[cg] == ch
+
+
+def test_isoclinism_witnesses_are_isoclinisms():
+    # the pairs the isoclinism tests above get a witness for
+    g, _, _ = E.sl23()
+    z4 = E.FinGroup([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    z22 = E.FinGroup([[a ^ b for b in range(4)] for a in range(4)])
+    d4 = E.finite_enveloping_group(catalog("Z_2^{2,2}")).group
+    q8, _ = g.subgroup(g.commutator_subgroup())
+    for a, b in ((g, g), (z4, z22), (d4, q8), (q8, d4)):
+        witness = E.isoclinism_witness(a, b)
+        assert witness is not None
+        _assert_isoclinism(a, b, witness)
+
+
+def _cyclic(n: int) -> E.FinGroup:
+    return E.FinGroup([[(a + b) % n for b in range(n)] for a in range(n)])
+
+
+def _small_groups() -> dict[str, E.FinGroup]:
+    sl, _, _ = E.sl23()
+    return {
+        "S3": E.finite_enveloping_group(catalog("(12)^S3")).group,
+        "Z4": _cyclic(4),
+        "Z2^2": E.FinGroup([[a ^ b for b in range(4)] for a in range(4)]),
+        "D4": E.finite_enveloping_group(catalog("Z_2^{2,2}")).group,
+        "Q8": sl.subgroup(sl.commutator_subgroup())[0],
+        "A4": sl.quotient(sl.center())[0],
+        "SL(2,3)": sl,
+        "Z6": _cyclic(6),
+    }
+
+
+def test_automorphism_counts_match_published_orders():
+    # |Aut(G)| for each group: Aut(D4) = D4, Aut(Q8) = Aut(A4) = Aut(SL(2,3)) = S4
+    published = {
+        "S3": 6, "Z4": 2, "Z2^2": 6, "D4": 8, "Q8": 24, "A4": 24, "SL(2,3)": 24, "Z6": 2,
+    }
+    groups = _small_groups()
+    assert groups["D4"].order == 8 and not groups["D4"].is_abelian()
+    for name, g in groups.items():
+        assert len(list(E.iter_isomorphisms(g, g))) == published[name], name
+
+
+def _relabeled(g: E.FinGroup, perm) -> E.FinGroup:
+    """The group with element x renamed perm[x] (perm fixes 0)."""
+    back = {y: x for x, y in enumerate(perm)}
+    return E.FinGroup([[perm[g.mul(back[a], back[b])] for b in range(g.order)] for a in range(g.order)])
+
+
+def _brute_isomorphisms(g: E.FinGroup, h: E.FinGroup, partial=None) -> list[tuple[int, ...]]:
+    from itertools import permutations
+
+    if g.order != h.order:
+        return []
+    n = g.order
+    return sorted(
+        f
+        for f in permutations(range(n))
+        if all(f[a] == b for a, b in (partial or {}).items())
+        and all(f[g.mul(a, b)] == h.mul(f[a], f[b]) for a in range(n) for b in range(n))
+    )
+
+
+def test_isomorphisms_match_brute_force_up_to_order_6():
+    import random
+
+    rng = random.Random(0)
+    groups = [g for g in _small_groups().values() if g.order <= 6]
+    groups += [_cyclic(n) for n in (1, 2, 3, 5)]
+    copies = []
+    for g in groups:
+        perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+        copies.append(_relabeled(g, perm))
+    for g in groups:
+        for h in groups + copies:
+            assert sorted(E.iter_isomorphisms(g, h)) == _brute_isomorphisms(g, h)
+    for g, h in zip(groups, copies):
+        for f in _brute_isomorphisms(g, h)[:2]:
+            partial = {a: f[a] for a in range(1, g.order, 2)}
+            found = sorted(E.iter_isomorphisms(g, h, partial))
+            assert found == _brute_isomorphisms(g, h, partial) and f in found

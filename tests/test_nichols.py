@@ -3,7 +3,7 @@ import pytest
 from qnichols import cyclotomic as C
 from qnichols import nichols as N
 from qnichols import ydmod as Y
-from qnichols.errors import InputError, ResourceCapError
+from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
 ONE = C.one()
 NEG = C.CycNum.rational(-1)
@@ -57,8 +57,8 @@ def test_symmetrizer_matches_sum_over_lifts(s3pair):
     # oracle: S_3 as the sum over all six reduced-word lifts
     v, _ = s3pair
     factors = (v, v, v)
-    c1, _ = N.compose_chain(factors, [1])
-    c2, _ = N.compose_chain(factors, [2])
+    c1 = N.compose_chain(factors, [1])
+    c2 = N.compose_chain(factors, [2])
     ident = C.CycMatrix.identity(27)
     lifts = ident + c1 + c2 + c1 @ c2 + c2 @ c1 + c1 @ c2 @ c1
     assert N.quantum_symmetrizer(v, 3) == lifts
@@ -153,3 +153,65 @@ def test_invalid_args(s3pair):
         N.t_operator(v, w, 0)
     with pytest.raises(InputError):
         N.adjoint_power_dim(v, w, -1)
+
+
+@pytest.fixture(scope="module")
+def s4pair():
+    from qnichols.envgroup import catalog_envelope
+
+    group = catalog_envelope("(12)^S4")[0].group
+    x2, x6 = group.names.index("x2"), group.names.index("x6")
+    v = Y.induced_module(group, x2, {x2: NEG, x6: NEG})
+    return v, v
+
+
+def test_adjacent_braiding_is_the_braiding_kernel_at_each_slot(s3pair, s4pair):
+    # oracle: the adjacent braiding at slot k is id (x) c_{a,b} (x) id, with
+    # c the kernel the braid-relation tests check
+    (v3, w3), (v4, w4) = s3pair, s4pair
+    dv, dw = diag(Z3, NEG)
+    for factors in ((v3, v3, w3), (v4, v4, v4, w4), (dv, dv, dw, dv)):
+        for slot in range(1, len(factors)):
+            k = slot - 1
+            a, b = factors[k], factors[k + 1]
+            prefix = N.BraidedTensor(factors[:k]).dim
+            suffix = N.BraidedTensor(factors[k + 2 :]).dim
+            want = N.kron(
+                N.kron(C.CycMatrix.identity(prefix), Y.braiding(a, b)),
+                C.CycMatrix.identity(suffix),
+            )
+            got, order = N.adjacent_braiding(factors, slot)
+            assert got == want, slot
+            assert order == factors[:k] + (b, a) + factors[k + 2 :]
+
+
+def test_compose_chain_raises_when_the_order_does_not_return():
+    v, w = diag(Z3, NEG)
+    assert N.compose_chain((v, v), [1]).rows == 1
+    with pytest.raises(InvariantViolationError):
+        N.compose_chain((v, w), [1])
+
+
+def test_every_entry_point_bounds_the_power_before_building():
+    # m = 10**9 would allocate a factor tuple of 10**9 entries before the check
+    v, w = diag(Z3, NEG)
+    cap = N.MAX_ADJOINT_POWER
+    for k in (cap + 1, 10**9):
+        for call in (
+            lambda: N.t_operator(v, w, k),
+            lambda: N.quantum_symmetrizer(v, k),
+            lambda: N.phi_operator(v, w, k),
+            lambda: N.symmetrized_t(v, w, k),
+            lambda: N.factorization_identity_holds(v, w, k),
+            lambda: N.adjoint_power_dim(v, w, k),
+            lambda: N.adjoint_power_report(v, w, k),
+            lambda: N.x_space_dim(v, w, k),
+        ):
+            with pytest.raises(ResourceCapError):
+                call()
+
+
+def test_negative_power_names_m():
+    v, w = diag(Z3, NEG)
+    with pytest.raises(InputError, match="m must be >= 0"):
+        N.adjoint_power_report(v, w, -1)

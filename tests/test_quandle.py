@@ -325,7 +325,7 @@ def test_embeddings_match_brute_force_on_catalog_and_census():
         relabeled = Q.Quandle(_relabel(q, f))
         for r in (q, relabeled):
             for candidates in _candidate_lists(q, r):
-                found = list(Q.embeddings(q, r.op, candidates))
+                found = list(Q.embeddings(q.table, r.op, candidates))
                 assert found == _brute_embeddings(q, r.op, candidates), (q, r, candidates)
         isomorphisms = _brute_embeddings(q, relabeled.op, [list(q.elements())] * q.n)
         assert Q.isomorphic(q, relabeled).map in isomorphisms
@@ -341,7 +341,7 @@ def test_embeddings_into_envelope_classes_match_brute_force():
     s3 = Q.catalog("(12)^S3")
     for cls in classes:
         candidates = [list(cls)] * 3
-        found = list(Q.embeddings(s3, group.conj, candidates))
+        found = list(Q.embeddings(s3.table, group.conj, candidates))
         assert found == _brute_embeddings(s3, group.conj, candidates)
     z331 = Q.catalog("Z_3^{3,1}")
     orbit_v, orbit_w = Q.inner_orbits(z331)
@@ -349,7 +349,7 @@ def test_embeddings_into_envelope_classes_match_brute_force():
     for cls_v, cls_w in permutations(classes, 2):
         for roles in ((orbit_v, orbit_w), (orbit_w, orbit_v)):
             candidates = [list(cls_v if x in roles[0] else cls_w) for x in z331.elements()]
-            found = list(Q.embeddings(z331, group.conj, candidates))
+            found = list(Q.embeddings(z331.table, group.conj, candidates))
             assert found == _brute_embeddings(z331, group.conj, candidates)
             seen += len(found)
     assert seen > 0
