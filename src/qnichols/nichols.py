@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import prod
-from operator import attrgetter
 from typing import Iterator, Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, echelon_rows, one
@@ -22,13 +20,12 @@ from .errors import InputError, InvariantViolationError, ResourceCapError
 from .ydmod import YDModule, braiding
 
 DEFAULT_DIM_CAP = 4096
-_DIM = attrgetter("dim")
 
 #: The largest tensor power m (or n) an entry point accepts, checked before
 #: any factor tuple is built.  One-dimensional modules keep every tensor power
 #: at dimension 1, where DEFAULT_DIM_CAP never applies: an ``adjoint`` run on
-#: a diagonal pair took about 1 s at m = 64, 3 s at 100 and 6-7 s at 128 (2
-#: shared vCPUs, Python 3.11); at 320 it took over a minute.
+#: a diagonal pair took a median 2.6 s at m = 100 and 5.7 s at 128 (six runs
+#: each, 2 shared vCPUs, Python 3.11); at 320 it took over a minute.
 MAX_ADJOINT_POWER = 128
 
 
@@ -41,7 +38,10 @@ class BraidedTensor:
 
     @property
     def dim(self) -> int:
-        return prod(map(_DIM, self.factors))
+        d = 1
+        for f in self.factors:
+            d *= f.dim
+        return d
 
     def index_to_tuple(self, idx: int) -> tuple[int, ...]:
         out = []
@@ -69,25 +69,22 @@ def adjacent_braiding(
     if not 0 <= k < len(factors) - 1:
         raise InputError(f"slot {slot} out of range for {len(factors)} factors")
     a, b = factors[k], factors[k + 1]
-    prefix, suffix = prod(map(_DIM, factors[:k])), prod(map(_DIM, factors[k + 2 :]))
+    prefix = BraidedTensor(factors[:k]).dim
+    suffix = BraidedTensor(factors[k + 2 :]).dim
     stride = a.dim * b.dim * suffix
     dim = prefix * stride
     out = CycMatrix(dim, dim)
     data = out.data
     # the kernel's entry (r, c) sits at (x, x + (c - r) * suffix) for every row
     # x = p * stride + r * suffix + s, over prefix indices p and suffix indices s
-    kernel = [
-        (r * suffix, [((c - r) * suffix, val) for c, val in row.items()])
-        for r, row in braiding(a, b).data.items()
-    ]
+    kernel = braiding(a, b).data
     for base in range(0, dim, stride):
-        for r0, shifts in kernel:
-            span = range(base + r0, base + r0 + suffix)
-            if len(shifts) == 1:  # a monomial row, the common case
-                ((d, val),) = shifts
-                data.update({x: {x + d: val} for x in span})
-            else:
-                data.update({x: {x + d: val for d, val in shifts} for x in span})
+        for r, row in kernel.items():
+            span = range(base + r * suffix, base + (r + 1) * suffix)
+            for c, val in row.items():
+                d = (c - r) * suffix
+                for x in span:
+                    data.setdefault(x, {})[x + d] = val
     return out, factors[:k] + (b, a) + factors[k + 2 :]
 
 
@@ -221,7 +218,7 @@ def graded_rank(matrix: CycMatrix, space: BraidedTensor) -> tuple[int, list[tupl
 
     Returns (rank, [(degree, block rank)]); raises InputError if the matrix
     mixes blocks (braided operators never do).  Each block's rows keep their
-    global column ids, which orders the pivots as within the block."""
+    global row and column ids, which orders the pivots as within the block."""
     blocks = graded_blocks(space)
     block_of = {}
     for d, idxs in blocks.items():
@@ -233,7 +230,8 @@ def graded_rank(matrix: CycMatrix, space: BraidedTensor) -> tuple[int, list[tupl
     rows = matrix.data
     per_block = []
     for d in sorted(blocks):
-        per_block.append((d, len(echelon_rows(rows[i] for i in blocks[d] if i in rows))))
+        block = CycMatrix(len(blocks[d]), space.dim, {i: rows[i] for i in blocks[d] if i in rows})
+        per_block.append((d, block.rank()))
     return sum(r for _, r in per_block), per_block
 
 

@@ -300,6 +300,18 @@ def test_fingroup_validation_checks_every_triple_above_order_64():
     assert E.FinGroup([[(a + b) % n for b in range(n)] for a in range(n)]).order == n
 
 
+def test_fingroup_check_refuses_tables_above_the_cap():
+    def cyclic(n):
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+    n = E.MAX_CHECKED_ORDER
+    assert E.FinGroup(cyclic(n)).order == n
+    with pytest.raises(ResourceCapError, match="exceeds"):
+        E.FinGroup(cyclic(n + 1))
+    # tables the package builds itself skip the check, and with it the cap
+    assert E.FinGroup(cyclic(n + 1), check=False).order == n + 1
+
+
 def test_quotient_and_subgroup():
     g, _, _ = E.sl23()
     centre = g.center()

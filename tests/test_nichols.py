@@ -170,7 +170,13 @@ def test_adjacent_braiding_is_the_braiding_kernel_at_each_slot(s3pair, s4pair):
     # c the kernel the braid-relation tests check
     (v3, w3), (v4, w4) = s3pair, s4pair
     dv, dw = diag(Z3, NEG)
-    for factors in ((v3, v3, w3), (v4, v4, v4, w4), (dv, dv, dw, dv)):
+    # a module whose action is not monomial, so kernel rows have two entries:
+    # Z_2 acting on degrees (g, g, 1) through the involution [[1, 1], [0, -1]] + [1]
+    z2 = Y.abelian_group([2])
+    flip = C.CycMatrix.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]])
+    u = Y.YDModule(z2, (1, 1, 0), [C.CycMatrix.identity(3), flip])
+    assert any(len(row) > 1 for row in Y.braiding(u, u).data.values())
+    for factors in ((v3, v3, w3), (v4, v4, v4, w4), (dv, dv, dw, dv), (u, u, u)):
         for slot in range(1, len(factors)):
             k = slot - 1
             a, b = factors[k], factors[k + 1]
