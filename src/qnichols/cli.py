@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env = sub.add_parser("envgroup", help="finite enveloping quotient analysis")
     p_env.add_argument("--catalog")
     p_env.add_argument("--file")
-    p_env.add_argument("--max-cosets", type=int, default=100_000)
+    p_env.add_argument("--max-cosets", type=int, default=envgroup.DEFAULT_MAX_COSETS)
     p_env.add_argument("--export-group", action="store_true")
     p_env.add_argument(
         "--export-presentation", action="store_true", help="print the relator words and exit"
@@ -354,7 +355,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader has gone: exit 0, final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

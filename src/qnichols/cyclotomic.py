@@ -219,9 +219,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycNum.rational(other)
@@ -412,12 +409,6 @@ class CycMatrix:
                     row[j] = cur
             if not row:
                 del out.data[i]
-        return out
-
-    def scale(self, c: CycNum) -> "CycMatrix":
-        out = CycMatrix(self.rows, self.cols)
-        for i, j, v in self.iter_entries():
-            out.set(i, j, v * c)
         return out
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":

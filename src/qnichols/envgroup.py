@@ -21,6 +21,9 @@ from .quandle import Quandle, catalog, embeddings, inner_orbits
 
 Word = tuple[int, ...]  # signed 1-based generator indices
 
+#: Coset budget of an enumeration whose caller names none (``ResourceCapError`` beyond).
+DEFAULT_MAX_COSETS = 100_000
+
 
 @dataclass(frozen=True)
 class Presentation:
@@ -225,7 +228,7 @@ def _standardize(table: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def todd_coxeter(pres: Presentation, max_cosets: int = 100_000) -> list[list[int]]:
+def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> list[list[int]]:
     """Coset table of the trivial subgroup (= regular action of the group)."""
     return _CosetTable(len(pres.generators), pres.relators, max_cosets).enumerate()
 
@@ -437,10 +440,6 @@ def iter_isomorphisms(
     yield from embeddings(table, h.mul, candidates)
 
 
-def are_isomorphic(g: FinGroup, h: FinGroup) -> bool:
-    return next(iter_isomorphisms(g, h), None) is not None
-
-
 # -- enveloping groups ----------------------------------------------------------
 
 
@@ -455,7 +454,7 @@ class EnvelopingGroup:
     decomposable_extension: bool  # one power relator per orbit beyond the first
 
 
-def finite_enveloping_group(q: Quandle, max_cosets: int = 100_000) -> EnvelopingGroup:
+def finite_enveloping_group(q: Quandle, max_cosets: int = DEFAULT_MAX_COSETS) -> EnvelopingGroup:
     """Quotient of the enveloping group by the per-orbit power relators
     x_r^{ord(phi_r)}, computed by coset enumeration.
 
@@ -481,25 +480,23 @@ def finite_enveloping_group(q: Quandle, max_cosets: int = 100_000) -> Enveloping
     )
 
 
-# Bound on the (name, max_cosets) pairs that catalog_envelope keeps.
+# Bound on the names catalog_envelope keeps (one quandle has several spellings).
 _CATALOG_ENVELOPES = 32
 
 
-def catalog_envelope(
-    name: str, max_cosets: int = 100_000
-) -> tuple[EnvelopingGroup, tuple[tuple[int, ...], ...]]:
+def catalog_envelope(name: str) -> tuple[EnvelopingGroup, tuple[tuple[int, ...], ...]]:
     """The finite enveloping group of the catalog quandle ``name`` and its
-    conjugacy classes, built on first use and kept per (name, max_cosets).
+    conjugacy classes, built on first use and kept per name.
 
     Callers share the returned objects and must not change them."""
     if not isinstance(name, str):
         raise InputError(f"catalog name must be a string, got {name!r}")
-    return _catalog_envelope(name, max_cosets)
+    return _catalog_envelope(name)
 
 
 @lru_cache(maxsize=_CATALOG_ENVELOPES)
-def _catalog_envelope(name: str, max_cosets: int):
-    env = finite_enveloping_group(catalog(name), max_cosets)
+def _catalog_envelope(name: str):
+    env = finite_enveloping_group(catalog(name))
     return env, tuple(env.group.conjugacy_classes())
 
 
@@ -573,22 +570,10 @@ def _render_word(word: tuple[int, ...], gen_names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def injectivity_test(q: Quandle, max_cosets: int = 100_000) -> bool:
+def injectivity_test(q: Quandle, max_cosets: int = DEFAULT_MAX_COSETS) -> bool:
     """Whether the quandle injects into its finite enveloping quotient."""
     env = finite_enveloping_group(q, max_cosets)
     return len(set(env.images)) == q.n
-
-
-def check_quandle_relations(env: EnvelopingGroup) -> bool:
-    """Exhaustively check x_i x_j = x_{i>j} x_i on the finite table."""
-    g, im, q = env.group, env.images, env.quandle
-    for i in q.elements():
-        for j in q.elements():
-            lhs = g.mul(im[i - 1], im[j - 1])
-            rhs = g.mul(im[q.op(i, j) - 1], im[i - 1])
-            if lhs != rhs:
-                return False
-    return True
 
 
 def induced_hom(
@@ -689,13 +674,12 @@ def gamma_generators(n: int) -> list[GammaElem]:
     return [gamma_eps(n), gamma_h(n), gamma_g(n)]
 
 
-def gamma_conj_class(x: GammaElem, bound: Optional[int] = None) -> frozenset[GammaElem]:
+def gamma_conj_class(x: GammaElem) -> frozenset[GammaElem]:
     """Closure of {x} under conjugation by generators and their inverses.
 
-    Classes lie in x<eps>, so the closure is finite; bound (default 2n+4)
-    caps the closure rounds as a safety net."""
-    if bound is None:
-        bound = 2 * x.n + 4
+    Classes lie in x<eps>, so the closure is finite; 2n + 4 closure rounds
+    are the cap, as a safety net."""
+    bound = 2 * x.n + 4
     gens = gamma_generators(x.n)
     gens += [gamma_inv(t) for t in gens]
     out = {x}
@@ -737,9 +721,9 @@ def gamma_center_generators(n: int) -> list[GammaElem]:
     return [gamma_mul(gamma_eps(n, -1), gamma_h(n, 2)), gamma_h(n, n), gamma_g(n, 2)]
 
 
-def gamma_commutator_closure(n: int, bound: int = 64) -> frozenset[GammaElem]:
+def gamma_commutator_closure(n: int) -> frozenset[GammaElem]:
     """Subgroup closure of all generator commutators (with inverses), closed
-    under conjugation by generators; equals <eps>."""
+    under conjugation by generators; equals <eps>.  Capped at 64 rounds."""
     gens = gamma_generators(n)
     gens += [gamma_inv(t) for t in gens]
     comms = {
@@ -752,7 +736,7 @@ def gamma_commutator_closure(n: int, bound: int = 64) -> frozenset[GammaElem]:
     rounds = 0
     while changed:
         rounds += 1
-        if rounds > bound:
+        if rounds > 64:
             raise ResourceCapError("commutator closure did not stabilize")
         changed = False
         for a in list(out):

@@ -241,10 +241,6 @@ def inner_orbits(q: Quandle) -> list[tuple[int, ...]]:
     return sorted((tuple(v) for v in groups.values()), key=lambda t: t[0])
 
 
-def is_indecomposable(q: Quandle) -> bool:
-    return len(inner_orbits(q)) == 1
-
-
 def subquandle(q: Quandle, subset: Iterable[int]) -> tuple[Quandle, list[int]]:
     """Restrict q to a closed subset.  Returns (quandle, labels) with labels[k-1]
     the original element of the new element k."""

@@ -33,6 +33,7 @@ from .quandle import (
     is_crossed_set,
     iso_class_representatives,
     isomorphic,
+    match_catalog,
     subquandle,
 )
 
@@ -71,14 +72,6 @@ class TwoOrbitContext:
             for x in self.orbit_v
             for y in self.orbit_w
         )
-
-    @cached_property
-    def roles_single_orbits(self) -> bool:
-        orbits = inner_orbits(self.quandle)
-        return len(orbits) == 2 and {frozenset(o) for o in orbits} == {
-            frozenset(self.orbit_v),
-            frozenset(self.orbit_w),
-        }
 
     def swap(self) -> "TwoOrbitContext":
         return TwoOrbitContext(self.quandle, self.orbit_w, self.orbit_v)
@@ -176,17 +169,6 @@ def certified_tuples(
         if not level:
             break
     return level
-
-
-def certificate_multiplicity_one(
-    ctx: TwoOrbitContext, p: int, i: int, known: DegreeTuple
-) -> bool:
-    """Independent oracle: the certified tuple occurs exactly once in the
-    expansion of the recursion operator over {known}."""
-    t = degrees_certificate(ctx, p, i, known)
-    if t is None:
-        return False
-    return phi_support_expand(ctx, p, [known])[t] == 1
 
 
 # -- the displayed certificate batteries --------------------------------------
@@ -297,8 +279,12 @@ def size_bound_check(ctx: TwoOrbitContext, m: int) -> Optional[bool]:
         raise InputError("m must be >= 1")
     if _swapped_halves(ctx.quandle, ctx.orbit_v, ctx.orbit_w) is False:
         return None
-    bound = 2 * m - 1 if ctx.commuting else 2 * m
-    return len(ctx.orbit_v) > bound
+    return len(ctx.orbit_v) > _size_bound(ctx, m)
+
+
+def _size_bound(ctx: TwoOrbitContext, m: int) -> int:
+    """size_bound_check's bound; it depends only on commuting, which swap keeps."""
+    return 2 * m - 1 if ctx.commuting else 2 * m
 
 
 NC_ITEMS = (
@@ -399,6 +385,9 @@ def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
 
 # -- classification search -----------------------------------------------------
 
+#: The largest quandle size the two-orbit census and ``classify`` search.
+MAX_CENSUS_SIZE = 8
+
 
 def two_orbit_candidates(n_max: int) -> list[Quandle]:
     """Isomorphism-class representatives of crossed-set quandles of size
@@ -412,8 +401,8 @@ def two_orbit_candidates(n_max: int) -> list[Quandle]:
     the connected quandles.  Otherwise both pieces have size <= n - 2 and
     come from the labeled census of that size.
     """
-    if n_max > 8:
-        raise ResourceCapError("census bounded at size 8")
+    if n_max > MAX_CENSUS_SIZE:
+        raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
     pieces: dict[int, list[Quandle]] = {}
 
     def homogeneous_pieces(k: int) -> list[Quandle]:
@@ -449,39 +438,25 @@ class Candidate:
     quandle: Quandle
     ctx: TwoOrbitContext
     branch: str  # "comm" | "nc"
-    status: str = "pending"
     rule_id: Optional[str] = None
     witness: Optional[object] = None
     matched_catalog_name: Optional[str] = None
 
 
-def _match_z_catalog(q: Quandle) -> Optional[str]:
-    for name in Z_QUANDLE_NAMES:
-        target = catalog(name)
-        if target.n == q.n and isomorphic(q, target) is not None:
-            return name
-    return None
-
-
 def evaluate_candidate(cand: Candidate) -> None:
-    """Apply the branch's rejection battery; sets status/rule/witness."""
+    """Apply the branch's rejection battery; sets rule/witness or the catalog match."""
     ctx = cand.ctx
     if cand.branch == "comm":
-        exceeded = size_bound_check(ctx, 1)
-        if exceeded:
-            cand.status = "rejected"
+        if size_bound_check(ctx, 1):
             cand.rule_id = "comm-size-suppV-m1"
-            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": 1}
+            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": _size_bound(ctx, 1)}
             return
-        swapped_bound = size_bound_check(ctx.swap(), 3)
-        if swapped_bound:
-            cand.status = "rejected"
+        if size_bound_check(ctx.swap(), 3):
             cand.rule_id = "comm-size-suppW-m3"
-            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": 5}
+            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": _size_bound(ctx, 3)}
             return
         witness = comm_adw4_rejects(ctx)
         if witness is not None:
-            cand.status = "rejected"
             cand.rule_id = "comm-adW4-certificate"
             base = min(witness)
             cand.witness = {"base": list(base), "tuple": list(witness[base])}
@@ -490,12 +465,10 @@ def evaluate_candidate(cand: Candidate) -> None:
         report = nc_necessary_conditions(ctx)
         failing = [item for item, verdict in report.items() if verdict == "fail"]
         if failing:
-            cand.status = "rejected"
             cand.rule_id = f"nc-battery:{failing[0]}"
             cand.witness = report
             return
         if nc_w_orbit_decomposition_ok(ctx) is False:
-            cand.status = "rejected"
             cand.rule_id = "nc-decomposable-Oh-structure"
             cand.witness = {
                 "orbit_w_parts": [
@@ -504,39 +477,32 @@ def evaluate_candidate(cand: Candidate) -> None:
             }
             return
         if nc_commutative_w_orbit_ok(ctx) is False:
-            cand.status = "rejected"
             cand.rule_id = "nc-commutative-Oh-shape"
             cand.witness = {"orbit_w": list(ctx.orbit_w)}
             return
         cert2 = find_adv2_certificate(ctx)
         if cert2 is not None:
-            cand.status = "rejected"
             cand.rule_id = "nc-adV2-certificate"
             cand.witness = {"tuple": list(cert2)}
             return
         cert4 = find_adw4_certificate_nc(ctx)
         if cert4 is not None:
-            cand.status = "rejected"
             cand.rule_id = "nc-adW4-certificate"
             cand.witness = {"tuple": list(cert4)}
             return
-        exceeded = size_bound_check(ctx, 1)
-        if exceeded:
-            cand.status = "rejected"
+        if size_bound_check(ctx, 1):
             cand.rule_id = "nc-size-suppV-m1"
-            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": 2}
+            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": _size_bound(ctx, 1)}
             return
-        swapped_bound = size_bound_check(ctx.swap(), 3)
-        if swapped_bound:
-            cand.status = "rejected"
+        if size_bound_check(ctx.swap(), 3):
             cand.rule_id = "nc-size-suppW-m3"
-            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": 6}
+            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": _size_bound(ctx, 3)}
             return
-    cand.status = "survivor"
-    cand.matched_catalog_name = _match_z_catalog(cand.quandle)
+    name = match_catalog(cand.quandle)
+    cand.matched_catalog_name = name if name in Z_QUANDLE_NAMES else None
 
 
-def envelope_post_filter(cand: Candidate, max_cosets: int = 100_000) -> dict:
+def envelope_post_filter(cand: Candidate) -> dict:
     """Group-level elimination for flagged survivors: try to realize the
     quandle inside the finite enveloping quotient of one of the five catalog
     quandles, with both roles landing in single conjugacy classes.
@@ -547,7 +513,7 @@ def envelope_post_filter(cand: Candidate, max_cosets: int = 100_000) -> dict:
 
     q = cand.quandle
     for name in Z_QUANDLE_NAMES:
-        env, classes = catalog_envelope(name, max_cosets)
+        env, classes = catalog_envelope(name)
         group = env.group
         for cls_v, cls_w in itertools.permutations(classes, 2):
             if len(cls_v) < len(cand.ctx.orbit_v) or len(cls_w) < len(cand.ctx.orbit_w):
@@ -572,8 +538,8 @@ def classify(
     through the group-level post-filter instead of being silently dropped."""
     if n_max < 1:
         raise InputError("n_max must be positive")
-    if n_max > 8:
-        raise ResourceCapError("classification census bounded at size 8")
+    if n_max > MAX_CENSUS_SIZE:
+        raise ResourceCapError(f"classification census bounded at size {MAX_CENSUS_SIZE}")
     if branch not in ("both", "comm", "nc"):
         raise InputError("branch must be 'both', 'comm' or 'nc'")
     candidates: list[Candidate] = []
@@ -589,7 +555,6 @@ def classify(
             if require_noncommuting_pair and all(
                 q.op(a, b) == b for a in q.elements() for b in q.elements()
             ):
-                cand.status = "rejected"
                 cand.rule_id = "abelian-proxy"
                 cand.witness = {"reason": "no non-commuting pair; group would be abelian"}
                 candidates.append(cand)
@@ -606,7 +571,7 @@ def classify(
             "roles": {"orbit_v": list(c.ctx.orbit_v), "orbit_w": list(c.ctx.orbit_w)},
             "branch": c.branch,
         }
-        if c.status == "rejected":
+        if c.rule_id is not None:
             entry["rule_id"] = c.rule_id
             entry["witness"] = c.witness
             rejections.append(entry)

@@ -26,7 +26,6 @@ class YDModule:
         group: FinGroup,
         degree: Sequence[int],
         actions: Sequence[CycMatrix],
-        check: bool = True,
     ):
         self.group = group
         self.degree = tuple(degree)
@@ -34,8 +33,7 @@ class YDModule:
         if len(actions) != group.order:
             raise InputError("need one action matrix per group element")
         self.actions = tuple(actions)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         g = self.group
@@ -56,9 +54,6 @@ class YDModule:
             for i, j, v in self.actions[s].iter_entries():
                 if self.degree[i] != g.conj(s, self.degree[j]):
                     raise InputError("action violates the grading compatibility")
-
-    def action(self, elem: int) -> CycMatrix:
-        return self.actions[elem]
 
     def __repr__(self) -> str:
         return f"YDModule(dim={self.dim}, degrees={self.degree})"
@@ -152,7 +147,7 @@ def braiding(v: YDModule, w: YDModule) -> CycMatrix:
     out = CycMatrix(w.dim * v.dim, v.dim * w.dim)
     data = out.data
     for i in range(v.dim):
-        for k, row in w.action(v.degree[i]).data.items():
+        for k, row in w.actions[v.degree[i]].data.items():
             data[k * v.dim + i] = {i * w.dim + j: val for j, val in row.items()}
     return out
 

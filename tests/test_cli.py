@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +323,9 @@ class _CountingStdout:
         self.writes.append(text)
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 @pytest.mark.parametrize(
     "emit, size, sha256",
@@ -604,6 +611,54 @@ def test_classify_deterministic_bytes(capsys):
     _, out1 = run(capsys, "classify", "--n-max", "4", "--full")
     _, out2 = run(capsys, "classify", "--n-max", "4", "--full")
     assert out1 == out2
+
+
+# sha256 of `classify --n-max N --full [--allow-abelian]` stdout
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("--n-max", "6", "--full"),
+            "7c7e5be1444485e66539d446a35ff54d4b447b094ec50e13699c8304f8dcf4dd",
+        ),
+        (
+            ("--n-max", "6", "--full", "--allow-abelian"),
+            "ba5cad95326c5898f7069f230471b96a663ebfdb4b32fbed6a5191e7af8638a0",
+        ),
+        pytest.param(
+            ("--n-max", "7", "--full"),
+            "d164dfc3512c52001b0197e046711ddef20e639356755ea350d034f7bfc61b5a",
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_classify_output_pinned(capsys, argv, sha256):
+    code, out = run(capsys, "classify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("charseqs", "--max-len", "10"), ("classify", "--n-max", "6")],
+)
+def test_closed_stdout_exits_0_without_traceback(argv):
+    # the read end of the pipe is closed before the child starts, so its
+    # first write (or its final flush) meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnichols.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_classify_cap_exit3(capsys):

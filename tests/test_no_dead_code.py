@@ -1,0 +1,38 @@
+"""Guard against dead library code: every top-level function and class of
+``src/qnichols``, and every method of a top-level class, must be named
+somewhere in ``src``, ``tests`` or ``bench`` besides its own definition."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qnichols"
+
+
+def _definitions():
+    """(file, line, name) of every checked definition; dunders are exempt."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += node.body
+            for item in members:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        yield path, item.lineno, item.name
+
+
+def test_every_definition_is_named_elsewhere():
+    words = Counter()
+    for directory in ("src", "tests", "bench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    # the definition itself accounts for one occurrence
+    dead = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path, line, name in _definitions()
+        if words[name] <= 1
+    ]
+    assert dead == []

@@ -87,8 +87,8 @@ def test_orbits():
     assert Q.inner_orbits(Q.catalog("(12)^S3")) == [(1, 2, 3)]
     assert Q.inner_orbits(Q.catalog("Z_3^{3,1}")) == [(1, 2, 3), (4,)]
     assert Q.inner_orbits(Q.catalog("trivial(2)")) == [(1,), (2,)]
-    assert Q.is_indecomposable(Q.catalog("(123)^A4"))
-    assert not Q.is_indecomposable(Q.catalog("Z_4^{4,2}"))
+    assert len(Q.inner_orbits(Q.catalog("(123)^A4"))) == 1
+    assert len(Q.inner_orbits(Q.catalog("Z_4^{4,2}"))) > 1
 
 
 def test_round_trip_left_right():
@@ -202,7 +202,7 @@ def test_census_small_counts():
 def test_census_indecomposable_matches_catalog_upto5():
     for n, expected in ((3, {"(12)^S3"}), (4, {"(123)^A4"}), (5, {"Aff(5,2)", "Aff(5,3)", "Aff(5,4)"})):
         reps = Q.iso_class_representatives(Q.enumerate_quandles(n))
-        ind = {Q.match_catalog(q) for q in reps if Q.is_indecomposable(q)}
+        ind = {Q.match_catalog(q) for q in reps if len(Q.inner_orbits(q)) == 1}
         assert ind == expected
 
 
@@ -224,7 +224,7 @@ def test_census_matches_oeis_a181771(n, count):
 def test_census_indecomposable_matches_catalog_n6():
     reps = census_classes(6)
     assert len(reps) == 73
-    ind = {Q.match_catalog(q) for q in reps if Q.is_indecomposable(q)}
+    ind = {Q.match_catalog(q) for q in reps if len(Q.inner_orbits(q)) == 1}
     assert ind == {"(12)^S4", "(1234)^S4"}
 
 
@@ -367,7 +367,7 @@ def test_affine_order7_connected_and_pairwise_distinct():
     affs = Q.connected_quandles(7)
     assert len(affs) == 5
     for q in affs:
-        assert Q.is_quandle(q.table) and Q.is_crossed_set(q) and Q.is_indecomposable(q)
+        assert Q.is_quandle(q.table) and Q.is_crossed_set(q) and len(Q.inner_orbits(q)) == 1
     assert len({Q.canonical_table(q) for q in affs}) == 5
     assert Q.affine_quandle(5, 4) == Q.catalog("Aff(5,4)")
 

@@ -348,7 +348,7 @@ def test_certified_steps_have_multiplicity_one(name, ov, ow, swap, expected_step
                 for i in range(1, len(known) + 1):
                     t = S.degrees_certificate(ctx, p, i, known)
                     if t is not None:
-                        assert S.certificate_multiplicity_one(ctx, p, i, known), (known, p, i)
+                        assert S.phi_support_expand(ctx, p, [known])[t] == 1, (known, p, i)
                         accepted.add(t)
                         steps += 1
         assert accepted == S.certified_tuples(ctx, m)
@@ -523,7 +523,7 @@ def test_envelope_post_filter_builds_each_catalog_envelope_once(monkeypatch):
     built = []
     todd_coxeter = E.todd_coxeter
 
-    def counting(pres, max_cosets=100_000):
+    def counting(pres, max_cosets=E.DEFAULT_MAX_COSETS):
         built.append(pres)
         return todd_coxeter(pres, max_cosets)
 
@@ -536,9 +536,3 @@ def test_envelope_post_filter_builds_each_catalog_envelope_once(monkeypatch):
     assert S.envelope_post_filter(cand)["eliminated"] is True
     assert built == []
 
-
-def test_envelope_post_filter_smaller_cap_raises_after_warm_cache():
-    cand = _eliminated_candidate()
-    assert S.envelope_post_filter(cand)["eliminated"] is True
-    with pytest.raises(ResourceCapError):
-        S.envelope_post_filter(cand, max_cosets=10)

@@ -92,11 +92,6 @@ def test_enumerate_verifies_each_sequence_once(monkeypatch):
     assert sorted(calls, key=lambda s: (len(s), s)) == seqs
 
 
-def test_generative_agrees_with_dfs_oracle():
-    for max_len in range(3, 9):
-        assert W.enumerate_charseqs(max_len) == W.enumerate_charseqs_dfs(max_len)
-
-
 def test_rotation_closure():
     for seq in W.enumerate_charseqs(8):
         for rot in W.CharSeq(seq).rotations():
