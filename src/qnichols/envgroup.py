@@ -192,40 +192,25 @@ class _CosetTable:
         return self._compact()
 
     def _compact(self) -> list[list[int]]:
-        live = [k for k in range(len(self.table)) if self._rep(k) == k]
-        renum = {k: idx for idx, k in enumerate(live)}
+        """The live cosets renumbered breadth-first from coset 0, for a
+        canonical, reproducible table."""
+        renum = {0: 0}
+        order = [0]
         out = []
-        for k in live:
+        for k in order:  # grows as cosets are reached
             row = []
-            for col in range(self.ncols):
-                v = self.table[k][col]
+            for v in self.table[k]:
                 if v is None:
                     raise InvariantViolationError("incomplete coset table after enumeration")
-                row.append(renum[self._rep(v)])
+                v = self._rep(v)
+                if v not in renum:
+                    renum[v] = len(order)
+                    order.append(v)
+                row.append(renum[v])
             out.append(row)
-        return _standardize(out)
-
-
-def _standardize(table: list[list[int]]) -> list[list[int]]:
-    """Renumber cosets in BFS order from 0 for a canonical, reproducible table."""
-    ncols = len(table[0]) if table else 0
-    order: list[int] = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for col in range(ncols):
-            b = table[a][col]
-            if b not in seen:
-                seen.add(b)
-                order.append(b)
-    renum = {old: new for new, old in enumerate(order)}
-    out = [[0] * ncols for _ in table]
-    for old, row in enumerate(table):
-        for col in range(ncols):
-            out[renum[old]][col] = renum[row[col]]
-    return out
+        if len(order) != sum(1 for k in range(len(self.table)) if self._rep(k) == k):
+            raise InvariantViolationError("a live coset is unreachable from coset 0")
+        return out
 
 
 def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> list[list[int]]:
@@ -570,9 +555,9 @@ def _render_word(word: tuple[int, ...], gen_names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def injectivity_test(q: Quandle, max_cosets: int = DEFAULT_MAX_COSETS) -> bool:
+def injectivity_test(q: Quandle) -> bool:
     """Whether the quandle injects into its finite enveloping quotient."""
-    env = finite_enveloping_group(q, max_cosets)
+    env = finite_enveloping_group(q)
     return len(set(env.images)) == q.n
 
 

@@ -42,18 +42,13 @@ def cycles_to_row(cycles: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
 
 
 def parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """Parse cycle notation like ``"(24)(56)"`` or ``"id"`` into a one-line map."""
-    text = text.strip()
-    if text in ("id", "", "()"):
+    """Parse digit-only cycle notation like ``"(24)(56)"``, or ``"id"``, into a
+    one-line map."""
+    if text == "id":
         return tuple(range(1, n + 1))
     if not (text.startswith("(") and text.endswith(")")):
         raise InputError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for part in text[1:-1].split(")("):
-        entries = [int(c) for c in part.replace(",", " ").split()] if " " in part or "," in part \
-            else [int(c) for c in part]
-        cycles.append(entries)
-    return cycles_to_row(cycles, n)
+    return cycles_to_row([[int(c) for c in part] for part in text[1:-1].split(")(")], n)
 
 
 class Quandle:

@@ -552,9 +552,7 @@ def classify(
             cand = Candidate(q, ctx, "comm" if ctx.commuting else "nc")
             if branch != "both" and cand.branch != branch:
                 continue
-            if require_noncommuting_pair and all(
-                q.op(a, b) == b for a in q.elements() for b in q.elements()
-            ):
+            if require_noncommuting_pair and is_commutative_subset(q, q.elements()):
                 cand.rule_id = "abelian-proxy"
                 cand.witness = {"reason": "no non-commuting pair; group would be abelian"}
                 candidates.append(cand)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qnichols import cli, envgroup, supportcalc, weyl
+from qnichols import cli, envgroup, nichols, supportcalc, weyl
 from qnichols.cli import main
 from qnichols.errors import InvariantViolationError
 from qnichols.quandle import MAX_QUANDLE_SIZE, catalog, catalog_names
@@ -398,6 +398,16 @@ def test_adjoint_s3(capsys, s3pair_spec):
     data = json.loads(out)
     assert data["dim"] == 4 == data["x_space_dim"]
     assert sum(b["rank"] for b in data["per_block"]) == 4
+
+
+def test_adjoint_exit4_when_the_two_computations_disagree(capsys, monkeypatch, s3pair_spec):
+    # the report is cross-checked against the phi recursion before anything is printed
+    x_space_dim = nichols.x_space_dim
+    monkeypatch.setattr(nichols, "x_space_dim", lambda v, w, m, cap: x_space_dim(v, w, m, cap) + 1)
+    code = main(["adjoint", "--spec", s3pair_spec, "--m", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert "invariant violation" in err
 
 
 def test_adjoint_cap_exit3(capsys, s3pair_spec):

@@ -223,6 +223,15 @@ def test_coset_cap():
         E.todd_coxeter(pres, max_cosets=50)
 
 
+def test_coset_table_renumbering_rejects_an_unreachable_live_coset():
+    # one generator; coset 1 is live (its own representative) but no edge reaches it
+    table = E._CosetTable(1, (), max_cosets=10)
+    table.table = [[0, 0], [1, 1]]
+    table.p = [0, 1]
+    with pytest.raises(InvariantViolationError, match="unreachable"):
+        table._compact()
+
+
 def test_injectivity_catalog():
     for name in INDECOMPOSABLE_NAMES:
         assert E.injectivity_test(catalog(name)), name

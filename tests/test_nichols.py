@@ -1,3 +1,6 @@
+from itertools import product
+from math import prod
+
 import pytest
 
 from qnichols import cyclotomic as C
@@ -18,6 +21,49 @@ def s3pair():
 
 def diag(q11, q12q21, q22=NEG):
     return Y.diagonal_pair(q11, q12q21, ONE, q22)
+
+
+# Oracle scaffolding written here, so the checks share no code with nichols:
+# a Kronecker product of matrices and the row-major index of basis tuples.
+
+
+def kron(a, b):
+    out = C.CycMatrix(a.rows * b.rows, a.cols * b.cols)
+    for i, j, x in a.iter_entries():
+        for k, l, y in b.iter_entries():
+            out.set(i * b.rows + k, j * b.cols + l, x * y)
+    return out
+
+
+def placed(factors, slot, kernel):
+    """id (x) kernel (x) id with the kernel on factors slot, slot + 1 (1-based)."""
+    k = slot - 1
+    prefix = C.CycMatrix.identity(prod(f.dim for f in factors[:k]))
+    suffix = C.CycMatrix.identity(prod(f.dim for f in factors[k + 2 :]))
+    return kron(kron(prefix, kernel), suffix)
+
+
+def non_monomial_module():
+    """A module whose action is not monomial, so braiding columns have two
+    entries: Z_2 acting on degrees (g, g, 1) through [[1, 1], [0, -1]] + [1]."""
+    z2 = Y.abelian_group([2])
+    flip = C.CycMatrix.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]])
+    return Y.YDModule(z2, (1, 1, 0), [C.CycMatrix.identity(3), flip])
+
+
+def basis(factors):
+    return list(product(*(range(f.dim) for f in factors)))
+
+
+def total_degrees(factors):
+    group = factors[0].group
+    out = []
+    for t in basis(factors):
+        g = 0
+        for f, i in zip(factors, t):
+            g = group.mul(g, f.degree[i])
+        out.append(g)
+    return out
 
 
 def test_t1_diagonal_scalar():
@@ -57,8 +103,8 @@ def test_symmetrizer_matches_sum_over_lifts(s3pair):
     # oracle: S_3 as the sum over all six reduced-word lifts
     v, _ = s3pair
     factors = (v, v, v)
-    c1 = N.compose_chain(factors, [1])
-    c2 = N.compose_chain(factors, [2])
+    c1 = placed(factors, 1, Y.braiding(v, v))
+    c2 = placed(factors, 2, Y.braiding(v, v))
     ident = C.CycMatrix.identity(27)
     lifts = ident + c1 + c2 + c1 @ c2 + c2 @ c1 + c1 @ c2 @ c1
     assert N.quantum_symmetrizer(v, 3) == lifts
@@ -103,32 +149,31 @@ def test_adjoint_dims_s3_values(s3pair):
     assert [N.adjoint_power_dim(v, w, m) for m in (1, 2, 3)] == [4, 3, 0]
 
 
-def test_graded_blocks_partition(s3pair):
-    v, w = s3pair
-    space = N.BraidedTensor((v, v, w))
-    blocks = N.graded_blocks(space)
-    assert sum(len(b) for b in blocks.values()) == space.dim
-
-
 def test_graded_rank_matches_plain_rank(s3pair):
     v, w = s3pair
     st = N.symmetrized_t(v, w, 2)
-    space = N.BraidedTensor((v, v, w))
-    total, per_block = N.graded_rank(st, space)
+    total, per_block = N.graded_rank(st, (v, v, w))
     assert total == st.rank()
     assert total == sum(r for _, r in per_block)
+    assert [d for d, _ in per_block] == sorted(set(total_degrees((v, v, w))))
 
 
 def test_operators_preserve_grading(s3pair):
     v, w = s3pair
-    space = N.BraidedTensor((v, v, w))
+    block_of = total_degrees((v, v, w))
     for mat in (N.t_operator(v, w, 2), N.phi_operator(v, w, 2), N.symmetrized_t(v, w, 2)):
-        block_of = {}
-        for d, idxs in N.graded_blocks(space).items():
-            for i in idxs:
-                block_of[i] = d
         for i, j, _ in mat.iter_entries():
             assert block_of[i] == block_of[j]
+
+
+def test_graded_rank_rejects_a_matrix_that_mixes_blocks(s3pair):
+    v, w = s3pair
+    block_of = total_degrees((v, w))
+    i, j = next((i, j) for i in range(9) for j in range(9) if block_of[i] != block_of[j])
+    mixed = C.CycMatrix(9, 9)
+    mixed.set(i, j, ONE)
+    with pytest.raises(InputError, match="grading"):
+        N.graded_rank(mixed, (v, w))
 
 
 def test_adjoint_report_shape(s3pair):
@@ -141,8 +186,7 @@ def test_adjoint_report_shape(s3pair):
 def test_vanishing_iff_all_blocks_vanish(s3pair):
     v, w = s3pair
     st = N.symmetrized_t(v, w, 3)
-    space = N.BraidedTensor((v, v, v, w))
-    total, per_block = N.graded_rank(st, space)
+    total, per_block = N.graded_rank(st, (v, v, v, w))
     assert total == 0
     assert all(r == 0 for _, r in per_block)
 
@@ -166,36 +210,36 @@ def s4pair():
 
 
 def test_adjacent_braiding_is_the_braiding_kernel_at_each_slot(s3pair, s4pair):
-    # oracle: the adjacent braiding at slot k is id (x) c_{a,b} (x) id, with
-    # c the kernel the braid-relation tests check
+    # oracle: a chain of two slot-k steps is id (x) c_{b,a} c_{a,b} (x) id, and
+    # one step between equal factors is id (x) c_{a,a} (x) id, with c the
+    # kernel the braid-relation tests check
     (v3, w3), (v4, w4) = s3pair, s4pair
     dv, dw = diag(Z3, NEG)
-    # a module whose action is not monomial, so kernel rows have two entries:
-    # Z_2 acting on degrees (g, g, 1) through the involution [[1, 1], [0, -1]] + [1]
-    z2 = Y.abelian_group([2])
-    flip = C.CycMatrix.from_rows([[1, 1, 0], [0, -1, 0], [0, 0, 1]])
-    u = Y.YDModule(z2, (1, 1, 0), [C.CycMatrix.identity(3), flip])
-    assert any(len(row) > 1 for row in Y.braiding(u, u).data.values())
+    u = non_monomial_module()
+    assert any(len(row) > 1 for row in Y.braiding(u, u).transpose().data.values())
     for factors in ((v3, v3, w3), (v4, v4, v4, w4), (dv, dv, dw, dv), (u, u, u)):
+        tuples = basis(factors)
+        index = {t: k for k, t in enumerate(tuples)}
+
+        def chain_matrix(slots):
+            out = C.CycMatrix(len(tuples), len(tuples))
+            for col, t in enumerate(tuples):
+                for s, x in N._chain({t: ONE}, factors, slots).items():
+                    out.set(index[s], col, x)
+            return out
+
         for slot in range(1, len(factors)):
-            k = slot - 1
-            a, b = factors[k], factors[k + 1]
-            prefix = N.BraidedTensor(factors[:k]).dim
-            suffix = N.BraidedTensor(factors[k + 2 :]).dim
-            want = N.kron(
-                N.kron(C.CycMatrix.identity(prefix), Y.braiding(a, b)),
-                C.CycMatrix.identity(suffix),
-            )
-            got, order = N.adjacent_braiding(factors, slot)
-            assert got == want, slot
-            assert order == factors[:k] + (b, a) + factors[k + 2 :]
+            a, b = factors[slot - 1], factors[slot]
+            assert chain_matrix([slot, slot]) == placed(factors, slot, Y.double_braiding(a, b))
+            if a is b:
+                assert chain_matrix([slot]) == placed(factors, slot, Y.braiding(a, a)), slot
 
 
-def test_compose_chain_raises_when_the_order_does_not_return():
+def test_braiding_chain_raises_when_the_order_does_not_return():
     v, w = diag(Z3, NEG)
-    assert N.compose_chain((v, v), [1]).rows == 1
+    assert len(N._chain({(0, 0): ONE}, (v, v), [1])) == 1
     with pytest.raises(InvariantViolationError):
-        N.compose_chain((v, w), [1])
+        N._chain({(0, 0): ONE}, (v, w), [1])
 
 
 def test_every_entry_point_bounds_the_power_before_building():
@@ -221,3 +265,42 @@ def test_negative_power_names_m():
     v, w = diag(Z3, NEG)
     with pytest.raises(InputError, match="m must be >= 0"):
         N.adjoint_power_report(v, w, -1)
+
+
+def _q_factorial_vanishes(q11, q12q21, m):
+    """Heckenberger's closed formula for a diagonal pair: (ad x1)^m(x2) = 0 iff
+    (m)!_{q11} * prod_{k<m} (1 - q11^k q12 q21) = 0."""
+    value = ONE
+    for j in range(1, m + 1):
+        value = value * sum((q11**i for i in range(j)), C.zero())
+    for k in range(m):
+        value = value * (ONE - q11**k * q12q21)
+    return value.is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_diagonal_pairs_match_the_closed_formula(n):
+    # every q11 = z_n^b and q12 q21 = z_n^c, at the tensor powers m <= n + 1;
+    # n = 5 passes too, but building its 25 groups Z_10 x Z_10 takes 1.2 s
+    for b in range(n):
+        for c in range(n):
+            q11, q12q21 = C.CycNum.zeta(n, b), C.CycNum.zeta(n, c)
+            v, w = diag(q11, q12q21)
+            for m in range(1, n + 2):
+                want = 0 if _q_factorial_vanishes(q11, q12q21, m) else 1
+                got = (N.x_space_dim(v, w, m), N.adjoint_power_dim(v, w, m))
+                assert got == (want, want), (n, b, c, m)
+
+
+def test_non_monomial_module_both_ways():
+    u = non_monomial_module()
+    dims = [2, 3, 4, 7]
+    assert [N.adjoint_power_dim(u, u, m) for m in (1, 2, 3, 4)] == dims
+    assert [N.x_space_dim(u, u, m) for m in (1, 2, 3, 4)] == dims
+    assert all(N.factorization_identity_holds(u, u, n) for n in (1, 2, 3))
+
+
+@pytest.mark.slow
+def test_s4_pair_both_ways_past_the_default_cap(s4pair):
+    v, w = s4pair
+    assert N.adjoint_power_dim(v, w, 4, cap=10**5) == N.x_space_dim(v, w, 4, cap=10**5) == 30
