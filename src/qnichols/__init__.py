@@ -10,7 +10,6 @@ from .envgroup import (
     enveloping_presentation,
     finite_enveloping_group,
     gamma_mul,
-    injectivity_test,
     isoclinism_witness,
     t_mul,
     todd_coxeter,
@@ -50,7 +49,6 @@ __all__ = [
     "finite_enveloping_group",
     "gamma_mul",
     "induced_module",
-    "injectivity_test",
     "inner_orbits",
     "is_characteristic",
     "is_quandle",

@@ -334,9 +334,15 @@ class FinGroup:
         )
 
     def has_abelian_centralizers(self) -> bool:
-        centre = set(self.center())
+        """Whether the centralizer of every non-central element is abelian.
+
+        C(g a g^-1) = g C(a) g^-1, so centralizers of conjugates are
+        conjugate and one element per non-central class (a class of size
+        greater than one) decides."""
         return all(
-            self.is_abelian(self.centralizer(a)) for a in range(self.order) if a not in centre
+            self.is_abelian(self.centralizer(cls[0]))
+            for cls in self.conjugacy_classes()
+            if len(cls) > 1
         )
 
     def subgroup_closure(self, gens: Sequence[int]) -> tuple[int, ...]:
@@ -553,12 +559,6 @@ def _render_word(word: tuple[int, ...], gen_names: Sequence[str]) -> str:
         base = gen_names[col // 2]
         parts.append(base if col % 2 == 0 else f"{base}^-1")
     return "*".join(parts)
-
-
-def injectivity_test(q: Quandle) -> bool:
-    """Whether the quandle injects into its finite enveloping quotient."""
-    env = finite_enveloping_group(q)
-    return len(set(env.images)) == q.n
 
 
 def induced_hom(

@@ -9,6 +9,7 @@ higher-dimensional can be supplied as explicit matrices.
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
 from typing import Optional, Sequence
 
@@ -179,25 +180,24 @@ def abelian_group(orders: Sequence[int]) -> FinGroup:
     if total > MAX_GROUP_ORDER:
         raise ResourceCapError(f"abelian group order {total} exceeds cap {MAX_GROUP_ORDER}")
 
-    def decode(a: int) -> tuple[int, ...]:
-        out = []
-        for n in reversed(orders):
-            out.append(a % n)
-            a //= n
-        return tuple(reversed(out))
-
-    def encode(t: Sequence[int]) -> int:
-        a = 0
-        for x, n in zip(t, orders):
-            a = a * n + x % n
-        return a
-
+    # element a is the mixed-radix number of its digit tuple, first factor
+    # most significant, so the digit tuples come in product order; row a adds
+    # a's digits to every element, one digit per factor
+    strides = [1] * len(orders)
+    for k in range(len(orders) - 1, 0, -1):
+        strides[k - 1] = strides[k] * orders[k]
+    digits = list(itertools.product(*(range(n) for n in orders)))
     mult = [
-        [encode([x + y for x, y in zip(decode(a), decode(b))]) for b in range(total)]
-        for a in range(total)
+        [
+            sum(t)
+            for t in itertools.product(
+                *([(x + y) % n * s for y in range(n)] for x, n, s in zip(da, orders, strides))
+            )
+        ]
+        for da in digits
     ]
-    names = ["*".join(f"t{k}^{x}" for k, x in enumerate(decode(a)) if x) or "e" for a in range(total)]
-    gens = [encode([1 if k == i else 0 for k in range(len(orders))]) for i in range(len(orders))]
+    names = ["*".join(f"t{k}^{x}" for k, x in enumerate(da) if x) or "e" for da in digits]
+    gens = [s if n > 1 else 0 for n, s in zip(orders, strides)]
     return FinGroup(mult, names, generator_ids=gens, check=False)
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import envgroup as E
+from qnichols import ydmod as Y
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 from qnichols.quandle import catalog, catalog_names, INDECOMPOSABLE_NAMES, Z_QUANDLE_NAMES
 
@@ -234,7 +235,8 @@ def test_coset_table_renumbering_rejects_an_unreachable_live_coset():
 
 def test_injectivity_catalog():
     for name in INDECOMPOSABLE_NAMES:
-        assert E.injectivity_test(catalog(name)), name
+        q = catalog(name)
+        assert len(set(E.finite_enveloping_group(q).images)) == q.n, name
 
 
 def test_class_size_matches_orbit():
@@ -274,6 +276,22 @@ def test_abelian_group_classes():
     assert z6.has_abelian_centralizers()
     assert z6.center() == tuple(range(6))
     assert z6.commutator_subgroup() == (0,)
+
+
+def _abelian_centralizers_by_definition(g: E.FinGroup) -> bool:
+    centre = set(g.center())
+    return all(g.is_abelian(g.centralizer(a)) for a in range(g.order) if a not in centre)
+
+
+def test_abelian_centralizers_one_class_at_a_time():
+    # one centralizer per non-central class against every non-central element
+    groups = {name: E.catalog_envelope(name)[0].group for name in catalog_names() if name != "trivial(n)"}
+    groups["SL(2,3)"] = E.sl23()[0]
+    groups["Z_2 x Z_4"] = Y.abelian_group([2, 4])
+    verdicts = {name: g.has_abelian_centralizers() for name, g in groups.items()}
+    assert verdicts == {name: _abelian_centralizers_by_definition(g) for name, g in groups.items()}
+    # in S4, (12)(34) has the centralizer D8
+    assert [name for name, abelian in verdicts.items() if not abelian] == ["(12)^S4"]
 
 
 def test_sl23_structure():

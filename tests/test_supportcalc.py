@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from qnichols import envgroup as E
@@ -502,6 +504,49 @@ def test_envelope_post_filter_verdicts_pinned_n6():
             verdict = S.envelope_post_filter(S.Candidate(q, ctx, "comm" if ctx.commuting else "nc"))
             embedded = {"eliminated": False, "embeds_in": name}
             assert verdict == (_ELIMINATED if name is None else embedded), q
+
+
+def _post_filter_without_cuts(cand: S.Candidate):
+    """envelope_post_filter's search with neither cut: every class pair that
+    passes the size check, every candidate of every element.  The verdict,
+    and every embedding found, keyed by (name, class of V, class of W)."""
+    q, ctx = cand.quandle, cand.ctx
+    verdict, found = _ELIMINATED, {}
+    for name in Z_QUANDLE_NAMES:
+        env, classes = E.catalog_envelope(name)
+        group = env.group
+        for cls_v, cls_w in itertools.permutations(classes, 2):
+            if len(cls_v) < len(ctx.orbit_v) or len(cls_w) < len(ctx.orbit_w):
+                continue
+            roles = [cls_v if x in ctx.orbit_v else cls_w for x in q.elements()]
+            for f in Q.embeddings(q.table, group.conj, roles):
+                found.setdefault((name, cls_v, cls_w), []).append(f)
+                f_map = dict(zip(q.elements(), f))
+                if verdict is _ELIMINATED and E.induced_hom(q, f_map, group.mul, group.inv) is not None:
+                    verdict = {"eliminated": False, "embeds_in": name}
+    return verdict, found
+
+
+def test_envelope_post_filter_cuts_match_the_uncut_search():
+    embedded = 0
+    for q in S.two_orbit_candidates(7):
+        orb1, orb2 = Q.inner_orbits(q)
+        for ov, ow in ((orb1, orb2), (orb2, orb1)):
+            ctx = S.TwoOrbitContext(q, ov, ow)
+            cand = S.Candidate(q, ctx, "comm" if ctx.commuting else "nc")
+            verdict, found = _post_filter_without_cuts(cand)
+            assert S.envelope_post_filter(cand) == verdict, (q, ov)
+            root_class = 0 if 1 in ov else 1
+            for (name, *pair), maps in found.items():
+                group = E.catalog_envelope(name)[0].group
+                # the order lemma: ord(phi_x) divides ord(f(x))
+                for f in maps:
+                    for x in q.elements():
+                        assert group.element_order(f[x - 1]) % q.row_order(x) == 0, (q, name, f)
+                # the root cut: some embedding sends 1 to the first element of its class
+                assert any(f[0] == pair[root_class][0] for f in maps), (q, name, pair)
+            embedded += len(found) > 0
+    assert embedded > 0
 
 
 def _eliminated_candidate() -> S.Candidate:

@@ -161,6 +161,36 @@ def test_abelian_group_helper():
     assert [g.element_order(x) for x in g.generator_ids] == [2, 3]
 
 
+def test_abelian_group_adds_digits():
+    # element a is the mixed-radix number of its digit tuple, first factor
+    # most significant
+    for orders in ([1], [5], [2, 3], [4, 6], [2, 1, 3], [2, 3, 2]):
+        g = Y.abelian_group(orders)
+
+        def digits(a):
+            out = []
+            for n in reversed(orders):
+                a, d = divmod(a, n)
+                out.append(d)
+            return out[::-1]
+
+        def number(ds):
+            a = 0
+            for d, n in zip(ds, orders):
+                a = a * n + d % n
+            return a
+
+        assert all(
+            g.mult[a][b] == number([x + y for x, y in zip(digits(a), digits(b))])
+            for a in range(g.order)
+            for b in range(g.order)
+        ), orders
+        assert list(g.generator_ids) == [
+            number([int(k == i) for k in range(len(orders))]) for i in range(len(orders))
+        ]
+        assert g.names[0] == "e"
+
+
 def test_root_of_unity_order():
     assert Y.root_of_unity_order(C.CycNum.rational(-1)) == 2
     assert Y.root_of_unity_order(C.CycNum.zeta(6)) == 6
