@@ -300,6 +300,17 @@ def cmd_classify(args) -> int:
 # -- driver -----------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of a cap or budget: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:  # the message argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnichols",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_env = sub.add_parser("envgroup", help="finite enveloping quotient analysis")
     p_env.add_argument("--catalog")
     p_env.add_argument("--file")
-    p_env.add_argument("--max-cosets", type=int, default=envgroup.DEFAULT_MAX_COSETS)
+    p_env.add_argument("--max-cosets", type=_positive_int, default=envgroup.DEFAULT_MAX_COSETS)
     p_env.add_argument("--export-group", action="store_true")
     p_env.add_argument(
         "--export-presentation", action="store_true", help="print the relator words and exit"
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj = sub.add_parser("adjoint", help="adjoint power dimensions of a module pair")
     p_adj.add_argument("--spec", required=True, help="module pair descriptor JSON")
     p_adj.add_argument("--m", type=int, required=True)
-    p_adj.add_argument("--cap", type=int, default=nichols.DEFAULT_DIM_CAP)
+    p_adj.add_argument("--cap", type=_positive_int, default=nichols.DEFAULT_DIM_CAP)
     p_adj.set_defaults(func=cmd_adjoint)
 
     p_cert = sub.add_parser("certify", help="combinatorial certificates for a role split")

@@ -151,30 +151,30 @@ def _check_power(k: int, name: str, least: int) -> None:
         raise ResourceCapError(f"{name} = {k} exceeds cap {MAX_ADJOINT_POWER}")
 
 
-def t_operator(v: YDModule, w: YDModule, n: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
+def t_operator(v: YDModule, w: YDModule, n: int) -> CycMatrix:
     """The product T_n = (id - C_1)(id - C_2)...(id - C_n) on V^(x)n (x) W,
     with C_j applying the adjacent braidings at slots j, j+1, ..., n, n."""
     _check_power(n, "n", 1)
-    _check_cap(v.dim**n * w.dim, cap)
+    _check_cap(v.dim**n * w.dim, DEFAULT_DIM_CAP)
     factors = (v,) * n + (w,)
     return _matrix(factors, lambda t: _t_image(factors, t))
 
 
-def quantum_symmetrizer(v: YDModule, n: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
+def quantum_symmetrizer(v: YDModule, n: int) -> CycMatrix:
     """S_n on V^(x)n by the shuffle recursion
     S_{k+1} = (S_k (x) id)(id + c_k + c_k c_{k-1} + ... + c_k ... c_1)."""
     _check_power(n, "n", 1)
-    _check_cap(v.dim**n, cap)
+    _check_cap(v.dim**n, DEFAULT_DIM_CAP)
     memo: dict = {}
     return _matrix((v,) * n, lambda t: _s_image(v, t, n, memo))
 
 
-def phi_operator(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
+def phi_operator(v: YDModule, w: YDModule, m: int) -> CycMatrix:
     """The recursion operator phi_m on V^(x)m (x) W:
     phi_m = id - c_{rest,V} c_{V,rest} + (id (x) phi_{m-1}) c_{1,2},
     with phi_1 = id - c^2 at the first two slots."""
     _check_power(m, "m", 1)
-    _check_cap(v.dim**m * w.dim, cap)
+    _check_cap(v.dim**m * w.dim, DEFAULT_DIM_CAP)
     memo: dict = {}
     return _matrix((v,) * m + (w,), lambda t: _phi_image(v, w, t, memo))
 
@@ -192,13 +192,11 @@ def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) 
     )
 
 
-def factorization_identity_holds(
-    v: YDModule, w: YDModule, n: int, cap: int = DEFAULT_DIM_CAP
-) -> bool:
+def factorization_identity_holds(v: YDModule, w: YDModule, n: int) -> bool:
     """Exact check of (S_{n+1} (x) id) T_{n+1} =
     phi_{n+1} (id (x) S_n (x) id)(id (x) T_n)."""
     _check_power(n, "n", 1)
-    lhs = symmetrized_t(v, w, n + 1, cap)
+    lhs = symmetrized_t(v, w, n + 1)
     inner = (v,) * n + (w,)
     s_memo: dict = {}
     phi_memo: dict = {}
@@ -235,10 +233,10 @@ def graded_rank(
     return sum(r for _, r in per_block), per_block
 
 
-def adjoint_power_dim(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> int:
+def adjoint_power_dim(v: YDModule, w: YDModule, m: int) -> int:
     """Dimension of the m-th braided adjoint image of W under V: the rank of
     (S_m (x) id) T_m; m = 0 returns dim W."""
-    return adjoint_power_report(v, w, m, cap)["dim"]
+    return adjoint_power_report(v, w, m)["dim"]
 
 
 def adjoint_power_report(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict:

@@ -51,19 +51,13 @@ class TwoOrbitContext:
 
     def __post_init__(self):
         q = self.quandle
-        all_elems = set(self.orbit_v) | set(self.orbit_w)
-        if set(self.orbit_v) & set(self.orbit_w):
-            raise InputError("orbits must be disjoint")
-        if all_elems != set(q.elements()):
-            raise InputError("orbits must partition the quandle")
-        orbit_sets = [set(o) for o in inner_orbits(q)]
-        for role in (self.orbit_v, self.orbit_w):
-            covered = set()
-            for orb in orbit_sets:
-                if orb <= set(role):
-                    covered |= orb
-            if covered != set(role):
-                raise InputError("roles must be unions of inner orbits")
+        if sorted((*self.orbit_v, *self.orbit_w)) != list(q.elements()):
+            raise InputError("roles must hold every element of the quandle exactly once")
+        if not (self.orbit_v and self.orbit_w):
+            raise InputError("roles must be nonempty")
+        v = set(self.orbit_v)
+        if not all(v.issuperset(orb) or v.isdisjoint(orb) for orb in inner_orbits(q)):
+            raise InputError("roles must be unions of inner orbits")
 
     @cached_property
     def commuting(self) -> bool:

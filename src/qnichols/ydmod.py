@@ -201,10 +201,14 @@ def abelian_group(orders: Sequence[int]) -> FinGroup:
     return FinGroup(mult, names, generator_ids=gens, check=False)
 
 
-def root_of_unity_order(x: CycNum, cap: int = 256) -> int:
+#: The largest multiplicative order ``root_of_unity_order`` looks for.
+MAX_ROOT_ORDER = 256
+
+
+def root_of_unity_order(x: CycNum) -> int:
     """Multiplicative order of a root of unity; InputError if not one."""
     acc = x
-    for k in range(1, cap + 1):
+    for k in range(1, MAX_ROOT_ORDER + 1):
         if acc == one():
             return k
         acc = acc * x

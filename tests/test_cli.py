@@ -12,7 +12,13 @@ import pytest
 from qnichols import cli, envgroup, nichols, supportcalc, weyl
 from qnichols.cli import main
 from qnichols.errors import InvariantViolationError
-from qnichols.quandle import MAX_QUANDLE_SIZE, catalog, catalog_names
+from qnichols.quandle import (
+    MAX_QUANDLE_SIZE,
+    Z_QUANDLE_NAMES,
+    catalog,
+    catalog_names,
+    inner_orbits,
+)
 
 
 @pytest.fixture()
@@ -256,6 +262,24 @@ def test_envgroup_catalog_output_pinned(capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == sha256, (name, flags)
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("envgroup", "--catalog", "(12)^S3", "--max-cosets"),
+        ("adjoint", "--spec", "pair.json", "--m", "1", "--cap"),
+    ],
+    ids=["max-cosets", "cap"],
+)
+def test_nonpositive_cap_or_budget_exit2(capsys, argv, value):
+    # argparse rejects the value before the spec file is opened
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"{argv[-1]}: must be at least 1" in err and "Traceback" not in err
+
+
 def test_envgroup_coset_cap_exit3(capsys, tmp_path):
     # a free-ish quandle whose envelope quotient exceeds a tiny budget
     code, _ = run(capsys, "envgroup", "--catalog", "(1234)^S4", "--max-cosets", "10")
@@ -413,6 +437,23 @@ def test_adjoint_exit4_when_the_two_computations_disagree(capsys, monkeypatch, s
 def test_adjoint_cap_exit3(capsys, s3pair_spec):
     code, _ = run(capsys, "adjoint", "--spec", s3pair_spec, "--m", "3", "--cap", "10")
     assert code == 3
+
+
+SL23_MODULE = {"class_rep": "[01;22]", "character": {"[02;11]": "z6"}}
+
+
+@pytest.mark.parametrize("m, dim", [(1, 12), (2, 28), (3, 52)])
+def test_adjoint_sl23_pair_both_group_references(capsys, tmp_path, m, dim):
+    outs = []
+    for key, group in (("group_ref", "sl23"), ("group", {"type": "sl23"})):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: group, "V": SL23_MODULE, "W": SL23_MODULE}))
+        code, out = run(capsys, "adjoint", "--spec", str(path), "--m", str(m))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    data = json.loads(outs[0])
+    assert data["dim"] == data["x_space_dim"] == dim
 
 
 def test_adjoint_diagonal(capsys, tmp_path):
@@ -604,6 +645,54 @@ def test_certify_comm(capsys):
 def test_certify_bad_orbit_exit2(capsys):
     code, _ = run(capsys, "certify", "--catalog", "Z_3^{3,2}", "--orbit-v", "1,4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, roles, message",
+    [
+        ("Z_3^{3,2}", ("--orbit-v", "1,2,3,4,5"), "roles must be nonempty"),
+        ("Z_3^{3,2}", ("--orbit-v", "4,5,4"), "exactly once"),
+        ("Z_3^{3,2}", ("--orbit-v", "4,5", "--orbit-w", "1,2,3,3"), "exactly once"),
+        ("Z_3^{3,1}", ("--orbit-v", "4,4,4"), "exactly once"),
+    ],
+    ids=["empty-W", "repeat-in-V", "repeat-in-W", "repeat-only"],
+)
+def test_certify_bad_role_split_exit2(capsys, name, roles, message):
+    code = main(["certify", "--catalog", name, *roles])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+# sha256 of `certify --catalog NAME --orbit-v ORBIT` stdout, one per inner orbit
+_CERTIFY_SHA256 = {
+    ("Z_T^{4,1}", "1,2,3,4"): "51a812bd7deb0254a798f2fb6a79b56e33843e94a1b2b10d608622e168cce903",
+    ("Z_T^{4,1}", "5"): "eba9b710790400eddfa0987d6ff968248e04a58354f531a2e7fba8876068b2bd",
+    ("Z_2^{2,2}", "1,3"): "244eccbaf1cc3bc7960dc3d8e158d86e931224f4c6057721f125148e11584eca",
+    ("Z_2^{2,2}", "2,4"): "c47bd786bba2a2e265b725d272d29509d9e01b024e6c070230110abee7bd4acb",
+    ("Z_3^{3,1}", "1,2,3"): "5bd94dab3c34210c183d6f376fa9b8cda78a1e0ff77c61aad177f538f293055a",
+    ("Z_3^{3,1}", "4"): "6547757a97fc5845d110811d17498856b2abe52237468088c5774a8b7f27203b",
+    ("Z_3^{3,2}", "1,2,3"): "9b1c402e795cae23242b9f14ae9fe2efc38896337b5bbcfc39753e65c075b195",
+    ("Z_3^{3,2}", "4,5"): "1e294f454a65809af6953f96fc0500d8a433c29a917bb06c3eb38c3672fcc3ff",
+    ("Z_4^{4,2}", "1,2,3,4"): "9aad2232f544d8474a0f3113bf57dc0b78c733e729801c665b9715e03cc700c1",
+    ("Z_4^{4,2}", "5,6"): "ffc73e0f9a0a89569734e33608760501174fb138c29f14ff1adadbe23b2b3402",
+}
+
+
+def test_certify_pins_cover_every_inner_orbit_of_the_z_quandles():
+    want = {
+        (name, ",".join(map(str, orbit)))
+        for name in Z_QUANDLE_NAMES
+        for orbit in inner_orbits(catalog(name))
+    }
+    assert set(_CERTIFY_SHA256) == want
+
+
+@pytest.mark.parametrize("name, orbit", sorted(_CERTIFY_SHA256))
+def test_certify_output_pinned(capsys, name, orbit):
+    code, out = run(capsys, "certify", "--catalog", name, "--orbit-v", orbit)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CERTIFY_SHA256[name, orbit]
 
 
 def test_classify_small(capsys):
