@@ -226,10 +226,10 @@ def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
         qs = [cyclotomic.parse_cyc(_field(d, k, "diagonal")) for k in keys]
         return ydmod.diagonal_pair(*qs)
     group = _build_group(spec.get("group_ref", spec.get("group")))
-    return (
-        _build_module(group, _field(spec, "V", "module pair descriptor"), "V"),
-        _build_module(group, _field(spec, "W", "module pair descriptor"), "W"),
-    )
+    v = _build_module(group, _field(spec, "V", "module pair descriptor"), "V")
+    w_spec = _field(spec, "W", "module pair descriptor")
+    # modules are immutable, so equal descriptors share one built module
+    return v, (v if w_spec == spec["V"] else _build_module(group, w_spec, "W"))
 
 
 def cmd_adjoint(args) -> int:

@@ -215,6 +215,8 @@ class _CosetTable:
 
 def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> list[list[int]]:
     """Coset table of the trivial subgroup (= regular action of the group)."""
+    if max_cosets < 1:
+        raise InputError(f"max_cosets must be at least 1, got {max_cosets}")
     return _CosetTable(len(pres.generators), pres.relators, max_cosets).enumerate()
 
 

@@ -6,16 +6,24 @@ tuples, one basis index per factor.  Every braiding is one slot step: the
 ``ydmod.braiding`` kernel applied to two adjacent factors of each tuple.  Steps
 permute the factor list, so ``_chain`` tracks the factor order and checks that
 each chain returns to it.  Operator matrices are built one column per basis
-tuple; ranks are computed per total-degree block, which braidings preserve.
+tuple.
+
+Braidings preserve the total degree and commute with the diagonal action of
+the group, so h maps the degree-d part of every operator's image onto the
+degree h d h^-1 part.  The adjoint-power report and the x-space therefore
+compute one total-degree block per conjugacy class, at its least element, and
+read the conjugate blocks off it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, echelon_rows, one
+from .envgroup import FinGroup
 from .errors import InputError, InvariantViolationError, ResourceCapError
 from .ydmod import YDModule, braiding
 
@@ -24,8 +32,9 @@ DEFAULT_DIM_CAP = 4096
 #: The largest tensor power m (or n) an entry point accepts, checked before
 #: any factor tuple is built; DEFAULT_DIM_CAP never bounds one-dimensional
 #: modules.  ``adjoint`` on the diagonal pair q11 = 1, q12 q21 = z3, whose powers
-#: never vanish, took a median 1.5 s at m = 100 and 3.0 s at 128 (q11 = -1: 0.27
-#: and 0.35 s; 2 shared vCPUs, Python 3.11); at 320 it took 74 s in process.
+#: never vanish, took a median 0.35 s at m = 100 and 0.49 s at 128 (q11 = -1:
+#: 0.18 and 0.19 s; five CLI runs each, 2 shared vCPUs, Python 3.11); at 320 it
+#: took 2.7 s in process.
 MAX_ADJOINT_POWER = 128
 
 #: A sparse vector of a tensor product: basis tuple -> nonzero coefficient.
@@ -51,15 +60,23 @@ def _apply(vec: Vector, image: Callable[[tuple], Vector]) -> Vector:
     return out
 
 
+def _columns(matrix: CycMatrix) -> dict[int, list[tuple[int, CycNum]]]:
+    """The nonzero entries of a matrix by column: j -> [(i, value)]."""
+    cols: dict[int, list[tuple[int, CycNum]]] = {}
+    for r, row in matrix.data.items():
+        for c, val in row.items():
+            cols.setdefault(c, []).append((r, val))
+    return cols
+
+
 @lru_cache(maxsize=16)
 def _kernel(a: YDModule, b: YDModule) -> dict[tuple[int, int], list]:
     """c_{a,b} from ``ydmod.braiding`` by column: (i, j) -> [((k, i), value)].
     Shared between calls, so read only."""
-    cols: dict[tuple[int, int], list] = {}
-    for r, row in braiding(a, b).data.items():
-        for c, val in row.items():
-            cols.setdefault(divmod(c, b.dim), []).append((divmod(r, a.dim), val))
-    return cols
+    return {
+        divmod(c, b.dim): [(divmod(r, a.dim), val) for r, val in col]
+        for c, col in _columns(braiding(a, b)).items()
+    }
 
 
 def _chain(vec: Vector, factors: tuple[YDModule, ...], slots: Iterable[int]) -> Vector:
@@ -99,10 +116,13 @@ def _s_image(v: YDModule, t: tuple[int, ...], k: int, memo: dict) -> Vector:
     head, tail = t[:k], t[k:]
     got = memo.get(head)
     if got is None:
-        got = {head: one()}
-        for j in range(k - 1, 0, -1):
-            for s, x in _chain({head: one()}, (v,) * k, range(j, k)).items():
-                _acc(got, s, x)
+        # the shuffle sum e + c_{k-1} e + c_{k-1} c_{k-2} e + ... + c_{k-1}...c_1 e
+        # in Horner form: u_j = c_j(u_{j-1} + e), one slot step per j
+        got = {}
+        for j in range(1, k):
+            _acc(got, head, one())
+            got = _chain(got, (v,) * k, [j])
+        _acc(got, head, one())
         if k > 1:
             got = _apply(got, lambda s: _s_image(v, s, k - 1, memo))
         memo[head] = got
@@ -127,6 +147,46 @@ def _phi_image(v: YDModule, w: YDModule, t: tuple[int, ...], memo: dict) -> Vect
     return got
 
 
+def _st_image(v: YDModule, factors: tuple[YDModule, ...], t: tuple[int, ...], memo: dict) -> Vector:
+    """(S_m (x) id) T_m e_t, m = len(factors) - 1, with S_m memoised in memo."""
+    m = len(factors) - 1
+    return _apply(_t_image(factors, t), lambda s: _s_image(v, s, m, memo))
+
+
+def _act(vecs: list[Vector], v: YDModule, w: YDModule, h: int) -> list[Vector]:
+    """h . x for each x in V^(x)m (x) W, h acting diagonally on the factors."""
+    col_v, col_w = _columns(v.actions[h]), _columns(w.actions[h])
+
+    def image(t: tuple[int, ...]) -> Vector:
+        out: Vector = {}
+        for terms in product(*(col_v[i] for i in t[:-1]), col_w[t[-1]]):
+            _acc(out, tuple(i for i, _ in terms), reduce(mul, (x for _, x in terms)))
+        return out
+
+    return [_apply(x, image) for x in vecs]
+
+
+def _least_conjugate(group: FinGroup, d: int) -> tuple[int, int]:
+    """(r, h): the least element r of the conjugacy class of d, and an h with
+    h r h^-1 = d, found by conjugating with the generators."""
+    gens = group.generator_ids or range(group.order)
+    moved = {d: 0}  # x -> some g with g d g^-1 = x
+    frontier = [d]
+    for x in frontier:
+        for s in gens:
+            y = group.conj(s, x)
+            if y not in moved:
+                moved[y] = group.mul(s, moved[x])
+                frontier.append(y)
+    r = min(moved)
+    return r, group.inv(moved[r])
+
+
+def _degrees(factors: Sequence[YDModule]) -> list[int]:
+    """The total degree of each basis tuple of the tensor product, row-major."""
+    return [reduce(factors[0].group.mul, ds, 0) for ds in product(*(f.degree for f in factors))]
+
+
 def _matrix(factors: Sequence[YDModule], image: Callable[[tuple], Vector]) -> CycMatrix:
     """The matrix with one column per basis tuple t, holding image(t); tuples
     are indexed row-major (leftmost factor most significant)."""
@@ -136,6 +196,12 @@ def _matrix(factors: Sequence[YDModule], image: Callable[[tuple], Vector]) -> Cy
         for s, x in image(t).items():
             out.data.setdefault(index[s], {})[col] = x
     return out
+
+
+def _check_budget(cap: int) -> None:
+    """Refuse a cap that no tensor space could meet, whatever the power."""
+    if cap < 1:
+        raise InputError(f"cap must be at least 1, got {cap}")
 
 
 def _check_cap(dim: int, cap: int) -> None:
@@ -182,14 +248,13 @@ def phi_operator(v: YDModule, w: YDModule, m: int) -> CycMatrix:
 def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
     """(S_m (x) id_W) T_m, whose image realizes the m-th adjoint power.
     S_m is applied once per V^(x)m basis tuple within the call."""
+    _check_budget(cap)
     _check_power(m, "m", 1)
     _check_cap(v.dim**m, cap)
     _check_cap(v.dim**m * w.dim, cap)
     factors = (v,) * m + (w,)
     memo: dict = {}
-    return _matrix(
-        factors, lambda t: _apply(_t_image(factors, t), lambda s: _s_image(v, s, m, memo))
-    )
+    return _matrix(factors, lambda t: _st_image(v, factors, t, memo))
 
 
 def factorization_identity_holds(v: YDModule, w: YDModule, n: int) -> bool:
@@ -218,8 +283,7 @@ def graded_rank(
     Returns (rank, [(degree, block rank)]); raises InputError if the matrix
     mixes blocks (braided operators never do).  Each block's rows keep their
     global row and column ids, which orders the pivots as within the block."""
-    mul = factors[0].group.mul
-    deg = [reduce(mul, ds, 0) for ds in product(*(f.degree for f in factors))]
+    deg = _degrees(factors)
     if any(deg[i] != deg[j] for i, j, _ in matrix.iter_entries()):
         raise InputError("matrix does not preserve the total-degree grading")
     blocks: dict[int, list[int]] = {}
@@ -240,29 +304,79 @@ def adjoint_power_dim(v: YDModule, w: YDModule, m: int) -> int:
 
 
 def adjoint_power_report(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict:
-    """Per-block rank report for the CLI: degree tuples use group element names."""
+    """Per-block rank report for the CLI: degree tuples use group element names.
+
+    The columns of (S_m (x) id) T_m are built and ranked only for the block of
+    the least degree r of each conjugacy class; every degree h r h^-1 gets the
+    rank of r, since h maps the one block onto the other."""
+    _check_budget(cap)
     _check_power(m, "m", 0)
     if m == 0:
         return {"m": 0, "dim": w.dim, "per_block": []}
-    total, per_block = graded_rank(symmetrized_t(v, w, m, cap), (v,) * m + (w,))
+    _check_cap(v.dim**m, cap)
+    _check_cap(v.dim**m * w.dim, cap)
+    factors = (v,) * m + (w,)
+    deg = _degrees(factors)
+    rep = {d: _least_conjugate(v.group, d)[0] for d in set(deg)}
+    blocks: dict[int, list[tuple[int, ...]]] = {r: [] for r in rep.values()}
+    for t, d in zip(product(*(range(f.dim) for f in factors)), deg):
+        if rep[d] == d:
+            blocks[d].append(t)
+    memo: dict = {}
+    rank = {
+        r: len(echelon_rows(_st_image(v, factors, t, memo) for t in ts))
+        for r, ts in blocks.items()
+    }
     names = v.group.names
-    per_block = [{"degree": names[d], "rank": r} for d, r in per_block if r > 0]
-    return {"m": m, "dim": total, "per_block": per_block}
+    per_block = [{"degree": names[d], "rank": rank[rep[d]]} for d in sorted(rep)]
+    return {
+        "m": m,
+        "dim": sum(b["rank"] for b in per_block),
+        "per_block": [b for b in per_block if b["rank"] > 0],
+    }
+
+
+def _x_components(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict[int, int]:
+    """dim X_m[d] for every degree d with X_m[d] != 0; see ``x_space_dim``.
+
+    At each level phi and the elimination run only at the least degree r of
+    each class: X_k[r] is phi_k of the span of e_i (x) X_{k-1}[deg(i)^-1 r].
+    Every other component is transported, X_k[h r h^-1] = h . X_k[r], because
+    braidings commute with the diagonal action."""
+    _check_budget(cap)
+    _check_power(m, "m", 0)
+    if m:
+        _check_cap(v.dim**m * w.dim, cap)
+    group = v.group
+    level: dict[int, list[Vector]] = {}
+    for j, d in enumerate(w.degree):
+        level.setdefault(d, []).append({(j,): one()})
+    dims = {d: len(vecs) for d, vecs in level.items()}
+    memo: dict = {}
+    for k in range(1, m + 1):
+        degrees = {group.mul(g, d) for g in set(v.degree) for d in level}
+        classes = {e: _least_conjugate(group, e) for e in degrees}
+        found: dict[int, list[Vector]] = {}
+        for r in sorted({r for r, _ in classes.values()}):
+            pivots = echelon_rows(
+                _apply(vec, lambda t: _phi_image(v, w, (i,) + t, memo))
+                for i in range(v.dim)
+                for vec in level.get(group.mul(group.inv(v.degree[i]), r), ())
+            )
+            if pivots:
+                found[r] = [pivots[p] for p in sorted(pivots)]
+        dims = {e: len(found[r]) for e, (r, _) in classes.items() if r in found}
+        if k < m:
+            level = {
+                e: found[r] if e == r else _act(found[r], v, w, h)
+                for e, (r, h) in classes.items()
+                if r in found
+            }
+    return dims
 
 
 def x_space_dim(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> int:
     """Dimension of the iterated image X_m = phi_m(V (x) X_{m-1}), X_0 = W,
-    with phi evaluated on the basis vectors of each level directly."""
-    _check_power(m, "m", 0)
-    if m:
-        _check_cap(v.dim**m * w.dim, cap)
-    basis: list[Vector] = [{(j,): one()} for j in range(w.dim)]
-    memo: dict = {}
-    for _ in range(m):
-        pivots = echelon_rows(
-            _apply(vec, lambda t: _phi_image(v, w, (i,) + t, memo))
-            for i in range(v.dim)
-            for vec in basis
-        )
-        basis = [pivots[p] for p in sorted(pivots)]
-    return len(basis)
+    with phi evaluated on basis vectors at one degree per conjugacy class of
+    each level (see ``_x_components``)."""
+    return sum(_x_components(v, w, m, cap).values())

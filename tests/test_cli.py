@@ -424,6 +424,17 @@ def test_adjoint_s3(capsys, s3pair_spec):
     assert sum(b["rank"] for b in data["per_block"]) == 4
 
 
+def test_equal_descriptors_build_one_module(s3pair_spec, tmp_path):
+    v, w = cli._load_module_pair(s3pair_spec)
+    assert v is w
+    spec = json.loads(Path(s3pair_spec).read_text())
+    spec["W"]["character"]["x1"] = "1"
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(spec))
+    v, w = cli._load_module_pair(str(path))
+    assert v is not w and v.actions != w.actions
+
+
 def test_adjoint_exit4_when_the_two_computations_disagree(capsys, monkeypatch, s3pair_spec):
     # the report is cross-checked against the phi recursion before anything is printed
     x_space_dim = nichols.x_space_dim

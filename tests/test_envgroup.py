@@ -224,6 +224,18 @@ def test_coset_cap():
         E.todd_coxeter(pres, max_cosets=50)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_nonpositive_coset_budget_is_an_input_error(budget):
+    # no enumeration can meet such a budget, so it is a bad input, not an
+    # exceeded cap; a budget of one still enumerates the trivial group
+    trivial = E.Presentation(("a",), ((1,),))
+    assert E.todd_coxeter(trivial, max_cosets=1) == [[0, 0]]
+    with pytest.raises(InputError, match="max_cosets"):
+        E.todd_coxeter(trivial, max_cosets=budget)
+    with pytest.raises(InputError, match="max_cosets"):
+        E.finite_enveloping_group(catalog("(12)^S3"), budget)
+
+
 def test_coset_table_renumbering_rejects_an_unreachable_live_coset():
     # one generator; coset 1 is live (its own representative) but no edge reaches it
     table = E._CosetTable(1, (), max_cosets=10)

@@ -1,3 +1,5 @@
+from collections import Counter
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -6,6 +8,7 @@ import pytest
 from qnichols import cyclotomic as C
 from qnichols import nichols as N
 from qnichols import ydmod as Y
+from qnichols.envgroup import catalog_envelope, sl23
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
 ONE = C.one()
@@ -202,8 +205,6 @@ def test_invalid_args(s3pair):
 
 @pytest.fixture(scope="module")
 def s4pair():
-    from qnichols.envgroup import catalog_envelope
-
     group = catalog_envelope("(12)^S4")[0].group
     x2, x6 = group.names.index("x2"), group.names.index("x6")
     v = Y.induced_module(group, x2, {x2: NEG, x6: NEG})
@@ -300,8 +301,110 @@ def test_non_monomial_module_both_ways():
     assert all(N.factorization_identity_holds(u, u, n) for n in (1, 2, 3))
 
 
+def test_s4_pair_x_space_past_the_default_cap(s4pair):
+    v, w = s4pair
+    assert [N.x_space_dim(v, w, m, cap=10**5) for m in (4, 5)] == [30, 16]
+
+
 @pytest.mark.slow
 def test_s4_pair_both_ways_past_the_default_cap(s4pair):
+    # with X_1..X_5 = 16, 30, 34, 30, 16 this fixes the Cartan entry a_VW = -6
     v, w = s4pair
-    dim = N.adjoint_power_report(v, w, 4, cap=10**5)["dim"]
-    assert dim == N.x_space_dim(v, w, 4, cap=10**5) == 30
+    assert N.adjoint_power_report(v, w, 4, cap=10**5)["dim"] == 30
+    assert [N.x_space_dim(v, w, m, cap=10**7) for m in (6, 7)] == [6, 0]
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_nonpositive_cap_is_an_input_error_at_every_power(s3pair, cap):
+    v, w = s3pair
+    for m in (0, 1, 2):
+        for call in (N.symmetrized_t, N.adjoint_power_report, N.x_space_dim):
+            with pytest.raises(InputError, match="cap must be at least 1"):
+                call(v, w, m, cap=cap)
+
+
+def test_cap_of_one_keeps_its_meaning(s3pair):
+    v, w = s3pair
+    assert N.adjoint_power_report(v, w, 0, cap=1)["dim"] == N.x_space_dim(v, w, 0, cap=1) == 3
+    for call in (N.symmetrized_t, N.adjoint_power_report, N.x_space_dim):
+        with pytest.raises(ResourceCapError):
+            call(v, w, 1, cap=1)
+
+
+# -- one block per conjugacy class, against every block computed ---------------
+
+
+def tuple_degree(factors, t):
+    group = factors[0].group
+    return reduce(group.mul, (f.degree[i] for f, i in zip(factors, t)), 0)
+
+
+def all_blocks_report(v, w, m):
+    """The report's per_block list with every block of the full
+    (S_m (x) id) T_m ranked."""
+    _, per_block = N.graded_rank(N.symmetrized_t(v, w, m), (v,) * m + (w,))
+    return [{"degree": v.group.names[d], "rank": r} for d, r in per_block if r > 0]
+
+
+def all_degrees_x_space(v, w, m):
+    """dim X_m[d] by degree d, with phi run on every basis vector of every
+    level.  Pivot rows of homogeneous vectors are homogeneous, so each one
+    counts for the degree of its tuples."""
+    basis = [{(j,): ONE} for j in range(w.dim)]
+    memo = {}
+    for _ in range(m):
+        pivots = C.echelon_rows(
+            N._apply(vec, lambda t: N._phi_image(v, w, (i,) + t, memo))
+            for i in range(v.dim)
+            for vec in basis
+        )
+        basis = [pivots[p] for p in sorted(pivots)]
+    factors = (v,) * m + (w,)
+    degrees = [{tuple_degree(factors, t) for t in vec} for vec in basis]
+    assert all(len(ds) == 1 for ds in degrees)
+    return Counter(d for ds in degrees for d in ds)
+
+
+def s4_module(k):
+    """The class of x_k in the envelope of (12)^S4, with the character -1 on
+    a generating set of its centralizer."""
+    env = catalog_envelope("(12)^S4")[0]
+    group, rep = env.group, env.images[k - 1]
+    gens = []
+    for x in group.centralizer(rep):
+        if x not in group.subgroup_closure(gens):
+            gens.append(x)
+    return Y.induced_module(group, rep, {x: NEG for x in gens})
+
+
+def sl23_module():
+    group = sl23()[0]
+    rep, c = group.names.index("[01;22]"), group.names.index("[02;11]")
+    return Y.induced_module(group, rep, {c: C.CycNum.zeta(6)})
+
+
+PAIRS = {
+    "S3": (lambda: (Y.transposition_module(),) * 2, 3),
+    **{f"S4-x{k}": (lambda k=k: (s4_module(k),) * 2, 3) for k in range(1, 7)},
+    "SL23": (lambda: (sl23_module(),) * 2, 3),
+    "Z2-non-monomial": (lambda: (non_monomial_module(),) * 2, 4),
+    "diagonal": (lambda: diag(Z3, NEG, Z3), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_one_block_per_class_matches_every_block(name):
+    build, m_max = PAIRS[name]
+    v, w = build()
+    for m in range(m_max + 1):
+        if m:
+            report = N.adjoint_power_report(v, w, m)
+            assert report["per_block"] == all_blocks_report(v, w, m), m
+        comps = N._x_components(v, w, m)
+        assert comps == all_degrees_x_space(v, w, m), m
+        # X_m is a YD submodule: conjugate components have equal dimension
+        for d, n in comps.items():
+            assert all(comps.get(c) == n for c in v.group.conjugacy_class_of(d)), (m, d)
+        if m:
+            assert sum(comps.values()) == report["dim"] == N.x_space_dim(v, w, m)
+
