@@ -197,14 +197,15 @@ def _build_group(spec) -> envgroup.FinGroup:
 
 
 def _resolve_element(group: envgroup.FinGroup, ref) -> int:
-    if isinstance(ref, int):
+    # JSON true/false would pass as the element ids 1/0
+    if type(ref) is int:
         if not 0 <= ref < group.order:
             raise InputError(f"element id {ref} out of range")
         return ref
     try:
         return group.names.index(ref)
     except ValueError:
-        raise InputError(f"unknown element name {ref!r}")
+        raise InputError(f"unknown element {ref!r}: not an element id or name")
 
 
 def _build_module(group: envgroup.FinGroup, spec, role: str) -> ydmod.YDModule:

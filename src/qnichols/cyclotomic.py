@@ -340,18 +340,6 @@ class CycMatrix:
         self.data: dict[int, dict[int, CycNum]] = data if data is not None else {}
 
     @classmethod
-    def from_rows(cls, entries: Sequence[Sequence]) -> "CycMatrix":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(entries):
-            if len(row) != cols:
-                raise InputError("ragged matrix")
-            for j, v in enumerate(row):
-                m.set(i, j, _coerce(v))
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> "CycMatrix":
         m = cls(n, n)
         for i in range(n):
@@ -380,36 +368,6 @@ class CycMatrix:
 
     def nnz(self) -> int:
         return sum(len(r) for r in self.data.values())
-
-    def copy(self) -> "CycMatrix":
-        return CycMatrix(self.rows, self.cols, {i: dict(r) for i, r in self.data.items()})
-
-    def __add__(self, other: "CycMatrix") -> "CycMatrix":
-        return self._merge(other, subtract=False)
-
-    def __sub__(self, other: "CycMatrix") -> "CycMatrix":
-        return self._merge(other, subtract=True)
-
-    def _merge(self, other: "CycMatrix", subtract: bool) -> "CycMatrix":
-        """self + other or self - other, merging the row dicts of other into a copy."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("shape mismatch")
-        out = self.copy()
-        for i, orow in other.data.items():
-            row = out.data.setdefault(i, {})
-            for j, v in orow.items():
-                prev = row.get(j)
-                if prev is None:
-                    row[j] = -v if subtract else v
-                    continue
-                cur = prev - v if subtract else prev + v
-                if cur.is_zero():
-                    del row[j]
-                else:
-                    row[j] = cur
-            if not row:
-                del out.data[i]
-        return out
 
     def __matmul__(self, other: "CycMatrix") -> "CycMatrix":
         if self.cols != other.rows:

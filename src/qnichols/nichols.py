@@ -257,23 +257,6 @@ def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) 
     return _matrix(factors, lambda t: _st_image(v, factors, t, memo))
 
 
-def factorization_identity_holds(v: YDModule, w: YDModule, n: int) -> bool:
-    """Exact check of (S_{n+1} (x) id) T_{n+1} =
-    phi_{n+1} (id (x) S_n (x) id)(id (x) T_n)."""
-    _check_power(n, "n", 1)
-    lhs = symmetrized_t(v, w, n + 1)
-    inner = (v,) * n + (w,)
-    s_memo: dict = {}
-    phi_memo: dict = {}
-
-    def rhs(t: tuple[int, ...]) -> Vector:
-        vec = _apply(_t_image(inner, t[1:]), lambda s: _s_image(v, s, n, s_memo))
-        vec = {t[:1] + s: x for s, x in vec.items()}
-        return _apply(vec, lambda s: _phi_image(v, w, s, phi_memo))
-
-    return lhs == _matrix((v,) + inner, rhs)
-
-
 def graded_rank(
     matrix: CycMatrix, factors: Sequence[YDModule]
 ) -> tuple[int, list[tuple[int, int]]]:

@@ -110,9 +110,10 @@ class Quandle:
         try:
             n = int(lines[0])
             _check_size(n)
-            rows = [[int(v) for v in ln.split()] for ln in lines[1 : n + 1]]
+            rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
         except ValueError as exc:
             raise InputError(f"malformed quandle file: {exc}") from exc
+        # a row past the n-th is as malformed as a missing one
         if len(rows) != n or any(len(r) != n for r in rows):
             raise InputError("quandle file does not contain an n x n table")
         return cls(rows)
@@ -125,6 +126,9 @@ class Quandle:
         try:
             table = data["table"]
             _check_size(len(table))
+            size = data.get("size", len(table))
+            if type(size) is not int or size != len(table):
+                raise InputError(f"quandle size {size!r} is not the table's {len(table)} rows")
             # JSON true/false would pass the axioms as 1/0
             if any(type(v) is not int for row in table for v in row):
                 raise InputError("quandle table entries must be integers")
@@ -451,63 +455,6 @@ def connected_quandles(n: int) -> list[Quandle]:
         return [affine_quandle(7, a) for a in range(2, 7)]
     pieces = (catalog(name) for name in INDECOMPOSABLE_NAMES)
     return [q for q in pieces if q.n == n]
-
-
-def eq_permutations_quandle(n: int) -> Quandle:
-    """The two-orbit normal form on {1..2n}: phi_i cycles the opposite block."""
-    table = []
-    for i in range(1, 2 * n + 1):
-        row = []
-        for j in range(1, 2 * n + 1):
-            if i <= n:
-                row.append(n + 1 + (j - n) % n if j > n else j)
-            else:
-                row.append(j if j > n else 1 + j % n)
-        table.append(row)
-    return Quandle(table)
-
-
-# -- structural checks ---------------------------------------------------------
-
-
-def invariant_closure_check(q: Quandle, subset: Iterable[int]) -> Optional[bool]:
-    """Closure check for centralized subsets: with C(Y) = {i : i > j = j for
-    all j in Y}, a crossed set satisfying Y u C(Y) = X must have X > Y = Y.
-
-    Returns that truth value when the covering hypothesis holds, None
-    otherwise (hypothesis not met).
-    """
-    ys = set(subset)
-    if not ys <= set(q.elements()):
-        raise InputError("subset out of range")
-    cy = {i for i in q.elements() if all(q.op(i, j) == j for j in ys)}
-    if ys | cy != set(q.elements()):
-        return None
-    image = {q.op(i, j) for i in q.elements() for j in ys}
-    return image == ys
-
-
-def two_orbit_normal_form(q: Quandle) -> Optional[tuple[Quandle, QuandleIso]]:
-    """Normal form of a two-orbit quandle with a commutative orbit.
-
-    Requires exactly two inner orbits of equal size, one commutative and
-    isomorphic to the other as subquandles; returns the normal-form quandle
-    together with an isomorphism from q, or None when the hypotheses fail.
-    """
-    orbits = inner_orbits(q)
-    if len(orbits) != 2 or len(orbits[0]) != len(orbits[1]):
-        return None
-    subs = [subquandle(q, orb)[0] for orb in orbits]
-    commutative = [is_commutative_subset(q, orb) for orb in orbits]
-    if not any(commutative):
-        return None
-    if isomorphic(subs[0], subs[1]) is None:
-        return None
-    target = eq_permutations_quandle(len(orbits[0]))
-    iso = isomorphic(q, target)
-    if iso is None:
-        return None
-    return target, iso
 
 
 # -- exhaustive generation ----------------------------------------------------

@@ -12,11 +12,10 @@ vanishing, and matches the survivors against the catalog.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, ResourceCapError
 from .quandle import (
@@ -71,43 +70,11 @@ class TwoOrbitContext:
     def swap(self) -> "TwoOrbitContext":
         return TwoOrbitContext(self.quandle, self.orbit_w, self.orbit_v)
 
-    def conj_word(self, word: Sequence[int], x: int) -> int:
-        """(w_1 w_2 ... w_k) > x, rightmost acting first."""
-        for w in reversed(word):
-            x = self.quandle.op(w, x)
-        return x
-
     def conj_inv_word(self, word: Sequence[int], x: int) -> int:
         """(w_1 w_2 ... w_k)^{-1} > x, leftmost inverse acting first."""
         for w in word:
             x = self.quandle.op_right(x, w)
         return x
-
-
-def phi_support_expand(
-    ctx: TwoOrbitContext, p: int, t_support: Iterable[DegreeTuple]
-) -> Counter:
-    """Multiset of degree tuples emitted by expanding the recursion operator
-    applied to a degree-p vector tensored against tuples of t_support.
-
-    Each source tuple of length m+1 emits, for every cut position j, the
-    kept-slot family (p>p'_1, ..., p>p'_{j-1}, p, p'_j, ..., p'_{m+1}) and the
-    pushed-through family with the long conjugator p p'_j ... p'_{m+1} > p.
-    A certificate is a target tuple of multiplicity exactly one.
-    """
-    out: Counter = Counter()
-    for t in t_support:
-        m1 = len(t)
-        for j in range(1, m1 + 1):
-            prefix = tuple(ctx.quandle.op(p, t[k]) for k in range(j - 1))
-            kept = prefix + (p,) + t[j - 1 :]
-            conjugator = ctx.conj_word((p,) + t[j - 1 :], p)
-            pushed = prefix + (conjugator,) + tuple(
-                ctx.quandle.op(p, t[k]) for k in range(j - 1, m1)
-            )
-            out[kept] += 1
-            out[pushed] += 1
-    return out
 
 
 def degrees_certificate(
@@ -164,52 +131,6 @@ def certified_tuples(
         if not level:
             break
     return level
-
-
-# -- the displayed certificate batteries --------------------------------------
-
-
-def certify_adV4_nonzero_comm(
-    ctx: TwoOrbitContext, r1: int, r2: int, r3: int, r4: int, s: int
-) -> bool:
-    """Commuting-support certificate for non-vanishing of the fourth adjoint
-    power, given (r3, r4, s) certified at level two: checks the displayed
-    exclusion lists on (r2, r1) literally."""
-    if not ctx.commuting:
-        raise InputError("commuting-support certificate needs commuting roles")
-    q = ctx.quandle
-    if r2 in (r3, r4, ctx.conj_inv_word((r4,), r3)):
-        return False
-    if q.op(r2, r4) == r4:
-        return False
-    if r1 in (q.op(r2, r3), r2, r4, ctx.conj_inv_word((r4,), r2), ctx.conj_inv_word((r4,), r3)):
-        return False
-    if q.op(r1, r4) == r4:
-        return False
-    return True
-
-
-def certify_adV4_nonzero_nc(
-    ctx: TwoOrbitContext, r1: int, r2: int, r3: int, s: int
-) -> bool:
-    """Self-contained certificate for non-vanishing of the fourth adjoint
-    power: the four displayed conditions, no commuting assumption."""
-    q = ctx.quandle
-    if q.op(r2, r3) == r3:
-        return False
-    if r1 in (
-        ctx.conj_word((r3, r2), r3),
-        q.op(r3, r2),
-        r3,
-        ctx.conj_inv_word((s,), r3),
-        ctx.conj_inv_word((s,), r2),
-    ):
-        return False
-    if q.op(s, r2) in (r2, r3) or q.op(s, r3) in (r2, r3):
-        return False
-    if q.op(r1, s) == s and q.op(r1, r3) == r3:
-        return False
-    return True
 
 
 def find_adv2_certificate(ctx: TwoOrbitContext) -> Optional[DegreeTuple]:

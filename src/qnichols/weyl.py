@@ -6,14 +6,15 @@ column.  They are the quiddities of polygon triangulations, and enumeration
 builds them by the Catalan split of each polygon along the triangle on one
 edge.  The set is also closed under rotation and under the insertion rule
 inverse to the length-reducing equivalence; the tests use that closure and
-the brute-force DFS below as independent oracles.
+a brute-force DFS as independent oracles (``tests/oracles.py`` holds the DFS
+and the reduction and insertion rules).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
 
@@ -70,36 +71,6 @@ class CharSeq:
 def _rotations(entries: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The cyclic rotations of a tuple, without verifying it."""
     return [entries[k:] + entries[:k] for k in range(len(entries))]
-
-
-def reduce_seq(seq: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Length-reducing rule: (c1, 1, c3, c4, ...) -> (c1-1, c3-1, c4, ...).
-
-    Requires c2 = 1 and length >= 4 (callers rotate first); returns None when
-    the rule does not apply or would produce non-positive entries.
-    """
-    seq = tuple(seq)
-    if len(seq) < 4 or seq[1] != 1:
-        return None
-    out = (seq[0] - 1, seq[2] - 1) + seq[3:]
-    if any(c < 1 for c in out):
-        return None
-    return out
-
-
-def insert_inverse(seq: Sequence[int], position: int = 1) -> tuple[int, ...]:
-    """Right-to-left application of the reduction rule, on the rotation of the
-    sequence starting at the given 1-based position: bumps the two leading
-    entries of that rotation and inserts a 1 between them (length + 1).
-
-    ``reduce_seq(insert_inverse(s, 1)) == s`` wherever defined.
-    """
-    seq = tuple(seq)
-    n = len(seq)
-    if not 1 <= position <= n:
-        raise InputError(f"position {position} out of range for length {n}")
-    rot = seq[position - 1 :] + seq[: position - 1]
-    return (rot[0] + 1, 1, rot[1] + 1) + rot[2:]
 
 
 # Most characteristic sequences one enumeration may produce (all lengths).
@@ -159,32 +130,6 @@ def enumerate_charseqs(max_len: int) -> list[tuple[int, ...]]:
         if not is_characteristic(seq):
             raise InvariantViolationError(f"generated sequence fails verification: {seq}")
     return out
-
-
-def enumerate_charseqs_dfs(max_len: int) -> list[tuple[int, ...]]:
-    """Independent brute-force oracle: depth-first search over entry values
-    bounded by max_len - 2, pruning on prefix first-column nonnegativity."""
-    if max_len > 12:
-        raise InputError("DFS oracle is intended for max_len <= 12")
-    bound = max(1, max_len - 2)
-    out: list[tuple[int, ...]] = []
-
-    def walk(prefix: list[int], m: Mat2):
-        if len(prefix) >= 3 and m == NEG_ID2:
-            out.append(tuple(prefix))
-            # -id times any further eta has negative first column, so stop
-            return
-        if len(prefix) == max_len:
-            return
-        if prefix and (m[0][0] < 0 or m[1][0] < 0):
-            return
-        for c in range(1, bound + 1):
-            prefix.append(c)
-            walk(prefix, mat_mul(m, eta(c)))
-            prefix.pop()
-
-    walk([], ID2)
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def small_neighbor_witness(seq: Sequence[int]) -> int:

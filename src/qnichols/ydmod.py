@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, one
 from .envgroup import FinGroup, catalog_envelope
-from .errors import InputError, InvariantViolationError, ResourceCapError
-from .quandle import Quandle
+from .errors import InputError, ResourceCapError
 
 
 class YDModule:
@@ -121,24 +120,6 @@ def induced_module(
     return YDModule(group, cls, actions)
 
 
-def support_quandle(v: YDModule) -> tuple[Quandle, list[int]]:
-    """The set of degrees with the conjugation operation, plus its labeling.
-
-    labels[k-1] is the group element carried by quandle element k."""
-    labels = sorted(set(v.degree))
-    pos = {t: k + 1 for k, t in enumerate(labels)}
-    table = []
-    for a in labels:
-        row = []
-        for b in labels:
-            c = v.group.conj(a, b)
-            if c not in pos:
-                raise InvariantViolationError("support is not closed under conjugation")
-            row.append(pos[c])
-        table.append(row)
-    return Quandle(table), labels
-
-
 def braiding(v: YDModule, w: YDModule) -> CycMatrix:
     """Matrix of c(x (x) y) = (deg(x).y) (x) x from V (x) W to W (x) V.
 
@@ -151,11 +132,6 @@ def braiding(v: YDModule, w: YDModule) -> CycMatrix:
         for k, row in w.actions[v.degree[i]].data.items():
             data[k * v.dim + i] = {i * w.dim + j: val for j, val in row.items()}
     return out
-
-
-def double_braiding(v: YDModule, w: YDModule) -> CycMatrix:
-    """c_{W,V} c_{V,W} as an endomorphism of V (x) W."""
-    return braiding(w, v) @ braiding(v, w)
 
 
 # -- concrete constructions ------------------------------------------------------
@@ -171,7 +147,7 @@ MAX_GROUP_ORDER = 1024
 def abelian_group(orders: Sequence[int]) -> FinGroup:
     """Direct product of cyclic groups as a FinGroup (identity = all zeros)."""
     if not isinstance(orders, (list, tuple)) or not orders or any(
-        not isinstance(n, int) or n < 1 for n in orders
+        type(n) is not int or n < 1 for n in orders  # JSON true is no order
     ):
         raise InputError("orders must be a nonempty list of positive integers")
     total = 1

@@ -17,6 +17,8 @@ from qnichols.quandle import (
     inner_orbits,
 )
 
+from oracles import enumerate_charseqs_dfs, factorization_identity_holds, phi_support_expand
+
 ONE = C.one()
 NEG = C.CycNum.rational(-1)
 Z3 = C.CycNum.zeta(3)
@@ -84,11 +86,11 @@ def test_criterion_4_operator_identity():
     checked = 0
     for v, w in _diagonal_instances():
         for n in (1, 2, 3):
-            assert N.factorization_identity_holds(v, w, n)
+            assert factorization_identity_holds(v, w, n)
             checked += 1
     s3 = Y.transposition_module()
     for n in (1, 2, 3):
-        assert N.factorization_identity_holds(s3, s3, n)
+        assert factorization_identity_holds(s3, s3, n)
         checked += 1
     _report(4, f"{checked} exact symmetrizer factorizations (diagonal + transposition pair)", time.monotonic() - t0, 60.0)
 
@@ -155,7 +157,7 @@ def test_criterion_6_certificate_soundness():
                     if result is None:
                         continue
                     # multiplicity-one in the independent expansion oracle
-                    assert S.phi_support_expand(ctx, p, [known])[result] == 1
+                    assert phi_support_expand(ctx, p, [known])[result] == 1
                     certificates_checked += 1
                     successes.append(result)
             if not successes:
@@ -183,7 +185,7 @@ def test_criterion_7_characteristic_sequences():
     t0 = time.monotonic()
     assert W.enumerate_charseqs(3) == [(1, 1, 1)]
     for max_len in range(3, 9):
-        assert W.enumerate_charseqs(max_len) == W.enumerate_charseqs_dfs(max_len)
+        assert W.enumerate_charseqs(max_len) == enumerate_charseqs_dfs(max_len)
     seqs = W.enumerate_charseqs(12)
     for seq in seqs:
         W.small_neighbor_witness(seq)

@@ -20,6 +20,8 @@ from qnichols.quandle import (
     inner_orbits,
 )
 
+from oracles import enumerate_charseqs_dfs
+
 
 @pytest.fixture()
 def s3pair_spec(tmp_path):
@@ -102,6 +104,19 @@ def test_quandle_malformed_file_exit2(capsys, tmp_path):
     path.write_text("3\n1 2\n")
     code, _ = run(capsys, "quandle", "--file", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2\n1 2\n1 2\n9 9 9\n"]
+    + [json.dumps({"size": size, "table": [[1, 2], [1, 2]]}) for size in (5, 1, True, "2")],
+    ids=["row-past-n", "size-5", "size-1", "size-true", "size-string"],
+)
+def test_quandle_file_disagreeing_with_its_size_exit2(capsys, tmp_path, text):
+    path = tmp_path / "sized.qnd"
+    path.write_text(text)
+    code, out = run(capsys, "quandle", "--file", str(path))
+    assert (code, out) == (2, "")
 
 
 @pytest.mark.parametrize("text", ["0\n", '{"size": 0, "table": []}'])
@@ -308,7 +323,7 @@ def reference_charseqs(max_len: int) -> list[tuple[int, ...]]:
     # length 8, and against the ear-insertion closure and the Catalan counts
     # up to length 12.
     if max_len <= 8:
-        return weyl.enumerate_charseqs_dfs(max_len)
+        return enumerate_charseqs_dfs(max_len)
     return weyl.enumerate_charseqs(max_len)
 
 
@@ -619,6 +634,17 @@ def test_adjoint_non_object_spec_exit2(capsys, tmp_path, top):
             "V": {"class_rep": 0},
             "W": {"class_rep": 0},
         },
+        # JSON true is neither the element id 1 nor a group of order 1
+        {
+            "group_ref": "enveloping:(12)^S3",
+            "V": {"class_rep": True, "character": {"x1": "-1"}},
+            "W": {"class_rep": "x1", "character": {"x1": "-1"}},
+        },
+        {
+            "group": {"type": "abelian", "orders": [True, 2]},
+            "V": {"class_rep": 0},
+            "W": {"class_rep": 0},
+        },
     ],
     ids=[
         "module-number",
@@ -626,6 +652,8 @@ def test_adjoint_non_object_spec_exit2(capsys, tmp_path, top):
         "character-string",
         "scalar-number",
         "orders-string",
+        "class_rep-true",
+        "orders-true",
     ],
 )
 def test_adjoint_non_object_nested_spec_exit2(capsys, tmp_path, spec):

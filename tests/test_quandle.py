@@ -119,8 +119,8 @@ def test_isomorphic_identity():
 
 def test_isomorphic_z222_normal_form():
     z = Q.catalog("Z_2^{2,2}")
-    target = Q.eq_permutations_quandle(2)
-    assert target.table == ((1, 2, 4, 3), (1, 2, 4, 3), (2, 1, 3, 4), (2, 1, 3, 4))
+    # each half cycles the other: the two-orbit normal form on {1, 2} u {3, 4}
+    target = Q.Quandle([[1, 2, 4, 3], [1, 2, 4, 3], [2, 1, 3, 4], [2, 1, 3, 4]])
     # oracle: exhaustive search over all 4! relabelings
     from itertools import permutations
 
@@ -141,29 +141,6 @@ def test_isomorphic_z222_normal_form():
 def test_isomorphic_none():
     assert Q.isomorphic(Q.catalog("(12)^S3"), Q.catalog("trivial(3)")) is None
     assert Q.isomorphic(Q.catalog("Aff(5,2)"), Q.catalog("Aff(5,3)")) is None
-
-
-def test_invariant_closure():
-    t = Q.catalog("trivial(3)")
-    assert Q.invariant_closure_check(t, {1, 2}) is True
-    z = Q.catalog("Z_3^{3,1}")
-    assert Q.invariant_closure_check(z, {1, 2, 3}) is True
-    s4 = Q.catalog("(12)^S4")
-    assert Q.invariant_closure_check(s4, {1}) is None
-
-
-def test_two_orbit_normal_form():
-    z = Q.catalog("Z_2^{2,2}")
-    res = Q.two_orbit_normal_form(z)
-    assert res is not None
-    target, iso = res
-    assert target == Q.eq_permutations_quandle(2)
-    assert iso.source == z and iso.target == target
-
-    assert Q.two_orbit_normal_form(Q.catalog("Z_4^{4,2}")) is None  # unequal orbit sizes
-
-    res = Q.two_orbit_normal_form(Q.catalog("trivial(2)"))
-    assert res is not None and res[0] == Q.eq_permutations_quandle(1)
 
 
 def test_text_and_json_round_trip():

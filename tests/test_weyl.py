@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from qnichols import weyl as W
 from qnichols.errors import InputError
 
+from oracles import insert_inverse, reduce_seq
+
 
 def test_eta_values():
     assert W.eta(0) == ((0, -1), (1, 0))
@@ -48,20 +50,20 @@ def test_2121_product_oracle():
 
 
 def test_reduce_and_insert():
-    assert W.reduce_seq((2, 1, 2, 1)) == (1, 1, 1)
-    assert W.insert_inverse((1, 1, 1), 1) == (2, 1, 2, 1)
-    assert W.reduce_seq((1, 1, 1)) is None  # too short
-    assert W.reduce_seq((2, 2, 2, 1)) is None  # c2 != 1
+    assert reduce_seq((2, 1, 2, 1)) == (1, 1, 1)
+    assert insert_inverse((1, 1, 1), 1) == (2, 1, 2, 1)
+    assert reduce_seq((1, 1, 1)) is None  # too short
+    assert reduce_seq((2, 2, 2, 1)) is None  # c2 != 1
 
 
 def test_reduce_insert_mutually_inverse():
     for seq in W.enumerate_charseqs(7):
-        longer = W.insert_inverse(seq, 1)
+        longer = insert_inverse(seq, 1)
         assert W.is_characteristic(longer)
-        assert W.reduce_seq(longer) == seq
-        red = W.reduce_seq(seq)
+        assert reduce_seq(longer) == seq
+        red = reduce_seq(seq)
         if red is not None:
-            assert W.insert_inverse(red, 1) == seq
+            assert insert_inverse(red, 1) == seq
 
 
 def test_enumerate_length3():
@@ -114,7 +116,7 @@ def closure_charseqs(max_len: int) -> list[tuple[int, ...]]:
                         new.add(rot)
                 if len(seq) < max_len:
                     for pos in range(1, len(seq) + 1):
-                        longer = W.insert_inverse(seq, pos)
+                        longer = insert_inverse(seq, pos)
                         if longer not in found:
                             found.add(longer)
                             new.add(longer)

@@ -4,21 +4,18 @@ from qnichols import cyclotomic as C
 from qnichols import ydmod as Y
 from qnichols.envgroup import finite_enveloping_group, sl23
 from qnichols.errors import InputError
-from qnichols.quandle import catalog, match_catalog
+from qnichols.quandle import Quandle, catalog, match_catalog
 
 
 def test_transposition_module_basic():
     v = Y.transposition_module()
     assert v.dim == 3
-    sq, labels = Y.support_quandle(v)
-    assert match_catalog(sq) == "(12)^S3"
-    assert sorted(labels) == sorted(set(v.degree))
-
-
-def test_support_quandle_dim1():
-    V, _ = Y.diagonal_pair(C.one(), C.one(), C.one(), C.one())
-    sq, _ = Y.support_quandle(V)
-    assert sq.n == 1
+    # the degrees under conjugation, relabeled 1..3, form the S3 transpositions
+    labels = sorted(set(v.degree))
+    support = Quandle(
+        [[labels.index(v.group.conj(a, b)) + 1 for b in labels] for a in labels]
+    )
+    assert match_catalog(support) == "(12)^S3"
 
 
 def test_induced_module_trivial_character_central_rep():
@@ -80,7 +77,7 @@ def test_braiding_diagonal_scalars():
     assert Y.braiding(W, V).get(0, 0) == q21
     assert Y.braiding(V, V).get(0, 0) == q11
     # double braiding is the scalar q12*q21 = 1 here
-    assert Y.double_braiding(V, W) == C.CycMatrix.identity(1)
+    assert Y.braiding(W, V) @ Y.braiding(V, W) == C.CycMatrix.identity(1)
 
 
 def test_braiding_group_mismatch():
@@ -151,7 +148,7 @@ def test_braid_relation_every_constructed_module():
 
 def test_transposition_braiding_c2_not_identity():
     v = Y.transposition_module()
-    assert Y.double_braiding(v, v) != C.CycMatrix.identity(9)
+    assert Y.braiding(v, v) @ Y.braiding(v, v) != C.CycMatrix.identity(9)
 
 
 def test_abelian_group_helper():
