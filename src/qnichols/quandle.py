@@ -477,11 +477,13 @@ def _row_search(candidates: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[tup
     candidate lists, in lexicographic order of the lists.
 
     Each candidate row must be a permutation fixing its own index.  Rows are
-    assigned depth-first; self-distributivity is enforced by propagating the
-    conjugation constraint phi_{i>j} = phi_i phi_j phi_i^{-1} whenever both
-    sides become determined, which prunes most of the tree.  A forced row is
-    not looked up in its list, so each list must hold every row the
-    constraint can force on its index.
+    assigned depth-first, always the least unassigned index next;
+    self-distributivity is enforced by propagating the conjugation constraint
+    phi_{i>j} = phi_i phi_j phi_i^{-1} whenever both sides become determined,
+    which prunes most of the tree.  A forced row bypasses its list: it is
+    kept whether or not the list holds it.  So a list whose index no earlier
+    row can force is the only source of that row, and may be cut to
+    representatives of a symmetry of the tables sought.
     """
     n = len(candidates)
     rows: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
@@ -661,19 +663,58 @@ def canonical_table(q: Quandle) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v + 1 for v in best[r * n : (r + 1) * n]) for r in range(n))
 
 
+def _conjugacy_representatives(
+    perms: Sequence[tuple[int, ...]], by: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The first member of each orbit of ``perms`` under conjugation
+    g -> h g h^{-1} by the one-line maps ``by``, in the order of ``perms``."""
+    seen: set[tuple[int, ...]] = set()
+    reps = []
+    for g in perms:
+        if g in seen:
+            continue
+        reps.append(g)
+        for h in by:
+            conj = [0] * len(g)
+            for i, v in enumerate(g):
+                conj[h[i] - 1] = h[v - 1]
+            seen.add(tuple(conj))
+    return reps
+
+
 def glued_quandles(a: Quandle, b: Quandle) -> Iterator[Quandle]:
     """Quandles on {1..|a|+|b|} restricting to a on {1..|a|} and to b on the
-    rest (shifted by |a|), with both blocks invariant under every translation.
+    rest (shifted by |a|), with both blocks invariant under every translation,
+    at least one from each isomorphism class of such gluings.
 
     Such a translation is a translation of its own block plus an automorphism
     of the other block, so these rows are the candidate lists of the row
-    search.
+    search.  Relabeling the blocks by Aut(a) x Aut(b) maps gluings to
+    gluings, and two lists are cut to orbit representatives:
+    - row 1 takes its b-part from one automorphism per conjugacy class of
+      Aut(b), since relabeling b by g conjugates every b-part by g;
+    - row |a|+1 takes its a-part from one automorphism per class of Aut(a)
+      under conjugation by the stabilizer of 1 in Aut(a), since relabeling
+      a by such an h conjugates every a-part by h and leaves row 1 alone.
+    Both cuts are exact: each orbit of gluings meets the cut set, because the
+    search assigns row 1 first and row |a|+1 right after rows 1..|a|, whose
+    constraints force only rows of a, so neither row is ever forced.
     """
     na = a.n
     aut_a = automorphisms(a)
-    aut_b = [tuple(v + na for v in g) for g in automorphisms(b)]
-    candidates = [[a.row(x) + g for g in aut_b] for x in a.elements()]
-    candidates += [[g + tuple(v + na for v in b.row(y)) for g in aut_a] for y in b.elements()]
+    aut_b = automorphisms(b)
+    first_b = _conjugacy_representatives(aut_b, aut_b)
+    first_a = _conjugacy_representatives(aut_a, [h for h in aut_a if h[0] == 1])
+
+    def shift(g: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(v + na for v in g)
+
+    candidates = [
+        [a.row(x) + shift(g) for g in (first_b if x == 1 else aut_b)] for x in a.elements()
+    ]
+    candidates += [
+        [g + shift(b.row(y)) for g in (first_a if y == 1 else aut_a)] for y in b.elements()
+    ]
     for rows in _row_search(candidates):
         yield Quandle(rows, check=False)
 

@@ -305,20 +305,16 @@ def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
 MAX_CENSUS_SIZE = 8
 
 
-def two_orbit_candidates(n_max: int) -> list[Quandle]:
-    """Isomorphism-class representatives of crossed-set quandles of size
-    <= n_max with exactly two inner orbits, sorted by size and then by table;
-    each representative is its class's canonical (least) table.
+def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:
+    """The block pairs (A, B) that ``two_orbit_candidates`` glues, keyed by
+    size n = |A| + |B| for n = 2..n_max, |A| <= |B|.
 
-    Each candidate X = A u B is glued from its two inner orbits A and B,
-    |A| <= |B|.  An orbit is a crossed-set subquandle on which Inn(X) acts
+    An inner orbit is a crossed-set subquandle on which Inn(X) acts
     transitively by automorphisms, so it is homogeneous.  When |A| = 1 the
     crossed-set law forces the point to act trivially on B, so B is one of
     the connected quandles.  Otherwise both pieces have size <= n - 2 and
-    come from the labeled census of that size.
+    come from the labeled census of that size, one per isomorphism class.
     """
-    if n_max > MAX_CENSUS_SIZE:
-        raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
     pieces: dict[int, list[Quandle]] = {}
 
     def homogeneous_pieces(k: int) -> list[Quandle]:
@@ -332,13 +328,35 @@ def two_orbit_candidates(n_max: int) -> list[Quandle]:
         return pieces[k]
 
     point = catalog("trivial(1)")
-    out: list[Quandle] = []
+    out: dict[int, list[tuple[Quandle, Quandle]]] = {}
     for n in range(2, n_max + 1):
         splits = [(point, b) for b in connected_quandles(n - 1)]
         for k in range(2, n // 2 + 1):
             small, large = homogeneous_pieces(k), homogeneous_pieces(n - k)
             for i, a in enumerate(small):
                 splits += [(a, b) for b in (large[i:] if k == n - k else large)]
+        out[n] = splits
+    return out
+
+
+def two_orbit_candidates(n_max: int) -> list[Quandle]:
+    """Isomorphism-class representatives of crossed-set quandles of size
+    <= n_max with exactly two inner orbits, sorted by size and then by table;
+    each representative is its class's canonical (least) table.
+
+    Each candidate X = A u B is glued from its two inner orbits A and B, one
+    pair per entry of ``census_splits``.  ``glued_quandles`` does not yield
+    every labeled gluing: row 1 takes its B-part from one automorphism per
+    conjugacy class of Aut(B), and row |A|+1 its A-part from one per class
+    of Aut(A) under conjugation by the stabilizer of 1.  Relabeling B, and
+    then A by an automorphism fixing 1, brings any gluing to one of these,
+    so every Aut(A) x Aut(B)-orbit of gluings meets the output; the set of
+    canonical tables keeps every class once and drops the copies left.
+    """
+    if n_max > MAX_CENSUS_SIZE:
+        raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
+    out: list[Quandle] = []
+    for splits in census_splits(n_max).values():
         tables = {
             canonical_table(q)
             for a, b in splits

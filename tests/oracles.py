@@ -6,9 +6,10 @@ with ``test_``), and test modules import it as ``oracles``.
 """
 
 from collections import Counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from qnichols import nichols as N
+from qnichols import quandle as Q
 from qnichols.cyclotomic import CycMatrix, CycNum
 from qnichols.errors import InputError
 from qnichols.supportcalc import DegreeTuple, TwoOrbitContext
@@ -92,6 +93,22 @@ def phi_support_expand(
             out[kept] += 1
             out[pushed] += 1
     return out
+
+
+# -- the two-orbit census: gluing without the orbit cuts ------------------------
+
+
+def glued_quandles_uncut(a: Q.Quandle, b: Q.Quandle) -> Iterator[Q.Quandle]:
+    """``quandle.glued_quandles`` with full candidate lists: every labeled
+    gluing, one per relabeling of the blocks by Aut(a) x Aut(b) up to its
+    stabilizer."""
+    na = a.n
+    aut_a = Q.automorphisms(a)
+    aut_b = [tuple(v + na for v in g) for g in Q.automorphisms(b)]
+    candidates = [[a.row(x) + g for g in aut_b] for x in a.elements()]
+    candidates += [[g + tuple(v + na for v in b.row(y)) for g in aut_a] for y in b.elements()]
+    for rows in Q._row_search(candidates):
+        yield Q.Quandle(rows, check=False)
 
 
 # -- acceptance criterion 7 and the closure oracle: characteristic sequences ---

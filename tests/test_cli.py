@@ -751,7 +751,7 @@ def test_classify_deterministic_bytes(capsys):
     assert out1 == out2
 
 
-# sha256 of `classify --n-max N --full [--allow-abelian]` stdout
+# sha256 of `classify --n-max N [--full [--allow-abelian]]` stdout
 @pytest.mark.parametrize(
     "argv, sha256",
     [
@@ -766,6 +766,11 @@ def test_classify_deterministic_bytes(capsys):
         pytest.param(
             ("--n-max", "7", "--full"),
             "d164dfc3512c52001b0197e046711ddef20e639356755ea350d034f7bfc61b5a",
+            marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            ("--n-max", "8"),
+            "29b9ae8832bd9b42ed20d06c89324c03d93f82f659d4e53cdff7960f8bb64445",
             marks=pytest.mark.slow,
         ),
     ],

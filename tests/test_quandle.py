@@ -1,11 +1,14 @@
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
 from qnichols.errors import InputError
-from qnichols.supportcalc import two_orbit_candidates
+from qnichols.supportcalc import census_splits, two_orbit_candidates
+
+from oracles import glued_quandles_uncut
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -256,6 +259,94 @@ def test_canonical_table_invariant_under_relabeling(data):
     relabeled = Q.Quandle(_relabel(q, f))
     assert Q.canonical_table(relabeled) == Q.canonical_table(q)
     assert Q.isomorphic(q, Q.Quandle(Q.canonical_table(q))) is not None
+
+
+def _conjugacy_class(g: tuple, by) -> set:
+    """{h g h^{-1} : h in by}, as one-line maps."""
+    out = set()
+    for h in by:
+        h_inv = sorted(range(1, len(h) + 1), key=lambda i: h[i - 1])
+        out.add(tuple(h[g[h_inv[i] - 1] - 1] for i in range(len(g))))
+    return out
+
+
+def _cut_weights(a: Q.Quandle, b: Q.Quandle, cut) -> int:
+    """How many uncut gluings the cut gluings stand for: each counts the size
+    of its row-1 b-part's class under Aut(b) times the size of its
+    row-(|a|+1) a-part's class under the stabilizer of 1 in Aut(a)."""
+    na = a.n
+    aut_b = Q.automorphisms(b)
+    stab = [h for h in Q.automorphisms(a) if h[0] == 1]
+    total = 0
+    for q in cut:
+        alpha = tuple(v - na for v in q.row(1)[na:])
+        beta = q.row(na + 1)[:na]
+        total += len(_conjugacy_class(alpha, aut_b)) * len(_conjugacy_class(beta, stab))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _splits(n: int) -> tuple:
+    return tuple(census_splits(n)[n])
+
+
+def _census_tables(quandles) -> set:
+    return {
+        Q.canonical_table(q)
+        for q in quandles
+        if len(Q.inner_orbits(q)) == 2 and Q.is_crossed_set(q)
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_glued_quandles_cut_matches_uncut_search(n):
+    # oracle: the full candidate lists; each cut gluing stands for its
+    # orbit-stabilizer weight of uncut ones, and the census keeps the same
+    # classes
+    for a, b in _splits(n):
+        cut = list(Q.glued_quandles(a, b))
+        uncut = list(glued_quandles_uncut(a, b))
+        assert _cut_weights(a, b, cut) == len(uncut), (a, b)
+        assert _census_tables(cut) == _census_tables(uncut), (a, b)
+
+
+def test_census_split_counts():
+    assert [len(_splits(n)) for n in range(2, 8)] == [1, 0, 2, 3, 9, 12]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_glued_quandles_orbits_brute_force(n):
+    # G = Aut(A) x Aut(B) relabels the uncut gluings among themselves; the
+    # orbit-stabilizer sum over G-orbits is the uncut count, and every
+    # orbit meets the cut output
+    for a, b in _splits(n):
+        na = a.n
+        group = [
+            h + tuple(v + na for v in g)
+            for h, g in product(Q.automorphisms(a), Q.automorphisms(b))
+        ]
+        uncut = {q.table for q in glued_quandles_uncut(a, b)}
+        cut = {q.table for q in Q.glued_quandles(a, b)}
+        seen: set = set()
+        total = 0
+        for table in sorted(uncut):
+            if table in seen:
+                continue
+            q = Q.Quandle(table, check=False)
+            images = [_relabel(q, f) for f in group]
+            orbit = set(images)
+            assert orbit <= uncut, (a, b, table)
+            assert orbit & cut, (a, b, table)
+            seen |= orbit
+            total += len(group) // images.count(table)
+        assert total == len(uncut), (a, b)
+
+
+@pytest.mark.slow
+def test_glued_quandles_cut_weights_n8():
+    for a, b in _splits(8):
+        uncut_count = sum(1 for _ in glued_quandles_uncut(a, b))
+        assert _cut_weights(a, b, Q.glued_quandles(a, b)) == uncut_count, (a, b)
 
 
 def _brute_embeddings(q: Q.Quandle, op, candidates) -> list[tuple]:

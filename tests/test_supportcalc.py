@@ -356,6 +356,23 @@ def test_classify_n7():
     assert rep["flagged"] == []
 
 
+@pytest.mark.slow
+def test_classify_n8():
+    # the five Z quandles are still the only survivors at n = 8
+    rep = S.classify(n_max=8)
+    assert rep["candidates_examined"] == 88
+    entries = rep["rejections"] + [e for s in rep["survivors"] for e in s["realizations"]]
+    assert len({str(e["table"]) for e in entries if len(e["table"]) == 8}) == 21
+    assert [s["matched_catalog_name"] for s in rep["survivors"]] == [
+        "Z_2^{2,2}",
+        "Z_3^{3,1}",
+        "Z_3^{3,2}",
+        "Z_4^{4,2}",
+        "Z_T^{4,1}",
+    ]
+    assert rep["flagged"] == []
+
+
 def test_classify_nmax_cap():
     with pytest.raises(ResourceCapError):
         S.classify(n_max=9)
