@@ -267,12 +267,7 @@ def cmd_certify(args) -> int:
         "commuting": ctx.commuting,
     }
     if ctx.commuting:
-        witness = supportcalc.comm_adw4_rejects(ctx)
-        out["adW4_certificate"] = (
-            {"base": list(min(witness)), "tuple": list(witness[min(witness)])}
-            if witness
-            else None
-        )
+        out["adW4_certificate"] = supportcalc.comm_adw4_rejects(ctx)
         out["size_bound_m1_exceeded"] = supportcalc.size_bound_check(ctx, 1)
     else:
         out["nc_battery"] = supportcalc.nc_necessary_conditions(ctx)

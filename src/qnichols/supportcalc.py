@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
 from .quandle import (
@@ -113,13 +113,16 @@ def certified_tuples(
 ) -> set[DegreeTuple]:
     """All tuples certified in the m-th support by iterating the extension step.
 
-    Level zero is every single-element tuple over the W-role orbit (those
-    supports are nonzero by definition); each level prepends an acting element
-    at every admissible position."""
-    level: set[DegreeTuple] = (
-        {(s,) for s in ctx.orbit_w} if start is None else set(start)
-    )
-    for _ in range(m if start is None else m - (len(next(iter(level))) - 1)):
+    ``start`` is a nonempty set of tuples of one length k + 1 <= m + 1,
+    certified in the k-th support.  It defaults to level zero: every
+    single-element tuple over the W-role orbit (those supports are nonzero by
+    definition).  Each level prepends an acting element at every admissible
+    position."""
+    level: set[DegreeTuple] = {(s,) for s in ctx.orbit_w} if start is None else set(start)
+    lengths = {len(t) for t in level}
+    if len(lengths) != 1 or not 1 <= min(lengths) <= m + 1:
+        raise InputError("start must be a nonempty set of tuples of one length at most m + 1")
+    for _ in range(m + 1 - min(lengths)):
         nxt: set[DegreeTuple] = set()
         for known in level:
             for p in ctx.orbit_v:
@@ -151,20 +154,18 @@ def find_adw4_certificate_nc(ctx: TwoOrbitContext) -> Optional[DegreeTuple]:
 def comm_adw4_rejects(ctx: TwoOrbitContext) -> Optional[dict]:
     """Commuting branch: certified chains to level four from EVERY level-one
     base (r4, s).  The first adjoint power of the W side is nonzero somewhere
-    but the base is unknown, so all bases must extend; returns a witness map
-    or None when some base admits no chain."""
+    but the base is unknown, so all bases must extend; returns the least base
+    with the least tuple of its chain, or None when some base has no chain."""
     if not ctx.commuting:
         raise InputError("only meaningful for commuting supports")
     swapped = ctx.swap()
-    witnesses = {}
-    for r4 in swapped.orbit_v:
-        for s in swapped.orbit_w:
-            base = (r4, s)
-            found = certified_tuples(swapped, 4, start={base})
-            if not found:
-                return None
-            witnesses[base] = min(found)
-    return witnesses
+    witness = None
+    for base in sorted(itertools.product(swapped.orbit_v, swapped.orbit_w)):
+        found = certified_tuples(swapped, 4, start={base})
+        if not found:
+            return None
+        witness = witness or {"base": list(base), "tuple": list(min(found))}
+    return witness
 
 
 def _swapped_halves(q: Quandle, role: Sequence[int], other: Sequence[int]) -> Optional[bool]:
@@ -199,18 +200,61 @@ def size_bound_check(ctx: TwoOrbitContext, m: int) -> Optional[bool]:
 
 
 def _size_bound(ctx: TwoOrbitContext, m: int) -> int:
-    """size_bound_check's bound; it depends only on commuting, which swap keeps."""
+    """size_bound_check's bound: 2m - 1 on commuting contexts, 2m otherwise."""
     return 2 * m - 1 if ctx.commuting else 2 * m
 
 
-NC_ITEMS = (
-    "orbit_v_commutative",
-    "orbits_distinct",
-    "orbit_v_generated_by_w_translations",
-    "w_translations_restrict_to_transpositions",
-    "squares_fix_across",
-    "movers_are_exactly_the_pair",
-)
+def _w_translation_orbit(ctx: TwoOrbitContext, g: int) -> set[int]:
+    """The orbit of g under the translations by the W orbit and their inverses."""
+    q = ctx.quandle
+    out, frontier = {g}, [g]
+    while frontier:
+        x = frontier.pop()
+        for y in ctx.orbit_w:
+            for z in (q.op(y, x), q.op_right(x, y)):
+                if z not in out:
+                    out.add(z)
+                    frontier.append(z)
+    return out
+
+
+def _swaps_one_pair(ctx: TwoOrbitContext, s: int) -> bool:
+    """Whether the translation by s moves exactly two V elements, swapping them."""
+    q = ctx.quandle
+    moved = [r for r in ctx.orbit_v if q.op(s, r) != r]
+    return len(moved) == 2 and q.op(s, moved[0]) == moved[1] and q.op(s, moved[1]) == moved[0]
+
+
+def _cycle(q: Quandle, g: int, h: int) -> list[int]:
+    """The cycle of h under the translation by g."""
+    out = [h]
+    while (y := q.op(g, out[-1])) != h:
+        out.append(y)
+    return out
+
+
+#: The six necessary conclusions that vanishing of the second adjoint power
+#: forces on a non-commuting context, in the paper's order, each as a predicate.
+NC_ITEMS: dict[str, Callable[[TwoOrbitContext], bool]] = {
+    "orbit_v_commutative": lambda ctx: is_commutative_subset(ctx.quandle, ctx.orbit_v),
+    "orbits_distinct": lambda ctx: set(ctx.orbit_v) != set(ctx.orbit_w),
+    "orbit_v_generated_by_w_translations": lambda ctx: all(
+        _w_translation_orbit(ctx, g) == set(ctx.orbit_v) for g in ctx.orbit_v
+    ),
+    "w_translations_restrict_to_transpositions": lambda ctx: all(
+        _swaps_one_pair(ctx, s) for s in ctx.orbit_w
+    ),
+    "squares_fix_across": lambda ctx: all(
+        ctx.quandle.op(h, ctx.quandle.op(h, g)) == g for h in ctx.orbit_w for g in ctx.orbit_v
+    ),
+    # along the cycle of h under g, the V elements moving each point are g and h > g
+    "movers_are_exactly_the_pair": lambda ctx: all(
+        {x for x in ctx.orbit_v if ctx.quandle.op(x, y) != y} == {g, ctx.quandle.op(h, g)}
+        for g in ctx.orbit_v
+        for h in ctx.orbit_w
+        for y in _cycle(ctx.quandle, g, h)
+    ),
+}
 
 
 def nc_w_orbit_decomposition_ok(ctx: TwoOrbitContext) -> Optional[bool]:
@@ -237,66 +281,7 @@ def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
     quandle-visible and is checked in its quandle form only."""
     if ctx.commuting:
         return {"inapplicable": "supports commute"}
-    q = ctx.quandle
-    ov, ow = ctx.orbit_v, ctx.orbit_w
-    report: dict[str, str] = {}
-
-    report[NC_ITEMS[0]] = "pass" if is_commutative_subset(q, ov) else "fail"
-    report[NC_ITEMS[1]] = "pass" if set(ov) != set(ow) else "fail"
-
-    # orbit of any g under the translations coming from the W orbit
-    def w_orbit_of(g: int) -> set[int]:
-        out = {g}
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            for y in ow:
-                for z in (q.op(y, x), q.op_right(x, y)):
-                    if z not in out:
-                        out.add(z)
-                        frontier.append(z)
-        return out
-
-    report[NC_ITEMS[2]] = (
-        "pass" if all(w_orbit_of(g) == set(ov) for g in ov) else "fail"
-    )
-
-    def moved_pair(s: int) -> Optional[tuple[int, int]]:
-        moved = [r for r in ov if q.op(s, r) != r]
-        if len(moved) != 2:
-            return None
-        a, b = moved
-        if q.op(s, a) == b and q.op(s, b) == a:
-            return a, b
-        return None
-
-    report[NC_ITEMS[3]] = "pass" if all(moved_pair(s) for s in ow) else "fail"
-
-    report[NC_ITEMS[4]] = (
-        "pass"
-        if all(q.op(h, q.op(h, g)) == g for h in ow for g in ov)
-        else "fail"
-    )
-
-    ok6 = True
-    for g in ov:
-        for h in ow:
-            target = {g, q.op(h, g)}
-            y = h
-            seen = set()
-            while y not in seen:
-                seen.add(y)
-                movers = {x for x in ov if q.op(x, y) != y}
-                if movers != target:
-                    ok6 = False
-                    break
-                y = q.op(g, y)
-            if not ok6:
-                break
-        if not ok6:
-            break
-    report[NC_ITEMS[5]] = "pass" if ok6 else "fail"
-    return report
+    return {item: "pass" if holds(ctx) else "fail" for item, holds in NC_ITEMS.items()}
 
 
 # -- classification search -----------------------------------------------------
@@ -367,73 +352,78 @@ def two_orbit_candidates(n_max: int) -> list[Quandle]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Candidate:
     quandle: Quandle
     ctx: TwoOrbitContext
     branch: str  # "comm" | "nc"
-    rule_id: Optional[str] = None
-    witness: Optional[object] = None
-    matched_catalog_name: Optional[str] = None
 
 
-def evaluate_candidate(cand: Candidate) -> None:
-    """Apply the branch's rejection battery; sets rule/witness or the catalog match."""
-    ctx = cand.ctx
-    if cand.branch == "comm":
-        if size_bound_check(ctx, 1):
-            cand.rule_id = "comm-size-suppV-m1"
-            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": _size_bound(ctx, 1)}
-            return
-        if size_bound_check(ctx.swap(), 3):
-            cand.rule_id = "comm-size-suppW-m3"
-            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": _size_bound(ctx, 3)}
-            return
-        witness = comm_adw4_rejects(ctx)
+Rule = Callable[[TwoOrbitContext], Optional[object]]
+
+
+def _size_rule(role: str, m: int) -> Rule:
+    """The size bound at level m on the V orbit (role "v") or, through the
+    swapped roles, on the W orbit (role "w")."""
+
+    def check(ctx: TwoOrbitContext) -> Optional[dict]:
+        acting = ctx if role == "v" else ctx.swap()
+        if not size_bound_check(acting, m):
+            return None
+        return {f"orbit_{role}_size": len(acting.orbit_v), "bound": _size_bound(acting, m)}
+
+    return check
+
+
+def _fails(ok: Callable[[TwoOrbitContext], Optional[bool]], witness: Rule) -> Rule:
+    """A rule that rejects where ``ok`` returns False (None: it does not apply)."""
+    return lambda ctx: witness(ctx) if ok(ctx) is False else None
+
+
+def _w_parts(ctx: TwoOrbitContext) -> dict:
+    sub, labels = subquandle(ctx.quandle, ctx.orbit_w)
+    return {"orbit_w_parts": [sorted(labels[k - 1] for k in o) for o in inner_orbits(sub)]}
+
+
+def _certificate_rule(find: Callable[[TwoOrbitContext], Optional[DegreeTuple]]) -> Rule:
+    return lambda ctx: None if (t := find(ctx)) is None else {"tuple": list(t)}
+
+
+#: Each branch's rejection battery in the paper's order, as (rule id, check):
+#: check(ctx) is the rule's witness when the rule rejects ctx, else None.
+RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
+    "comm": (
+        ("comm-size-suppV-m1", _size_rule("v", 1)),
+        ("comm-size-suppW-m3", _size_rule("w", 3)),
+        ("comm-adW4-certificate", comm_adw4_rejects),
+    ),
+    "nc": (
+        *(
+            (f"nc-battery:{item}", _fails(holds, nc_necessary_conditions))
+            for item, holds in NC_ITEMS.items()
+        ),
+        ("nc-decomposable-Oh-structure", _fails(nc_w_orbit_decomposition_ok, _w_parts)),
+        (
+            "nc-commutative-Oh-shape",
+            _fails(nc_commutative_w_orbit_ok, lambda ctx: {"orbit_w": list(ctx.orbit_w)}),
+        ),
+        ("nc-adV2-certificate", _certificate_rule(find_adv2_certificate)),
+        ("nc-adW4-certificate", _certificate_rule(find_adw4_certificate_nc)),
+        # no V size rule: orbit_v_commutative makes size_bound_check(ctx, 1) None or False
+        ("nc-size-suppW-m3", _size_rule("w", 3)),
+    ),
+}
+
+
+def evaluate_candidate(cand: Candidate) -> tuple[Optional[str], Optional[object]]:
+    """Apply the branch's rules in order: (rule id, witness) of the first that
+    rejects, else (None, the Z catalog name the quandle matches, or None)."""
+    for rule_id, check in RULES[cand.branch]:
+        witness = check(cand.ctx)
         if witness is not None:
-            cand.rule_id = "comm-adW4-certificate"
-            base = min(witness)
-            cand.witness = {"base": list(base), "tuple": list(witness[base])}
-            return
-    else:
-        report = nc_necessary_conditions(ctx)
-        failing = [item for item, verdict in report.items() if verdict == "fail"]
-        if failing:
-            cand.rule_id = f"nc-battery:{failing[0]}"
-            cand.witness = report
-            return
-        if nc_w_orbit_decomposition_ok(ctx) is False:
-            cand.rule_id = "nc-decomposable-Oh-structure"
-            cand.witness = {
-                "orbit_w_parts": [
-                    sorted(o) for o in inner_orbits(subquandle(ctx.quandle, ctx.orbit_w)[0])
-                ]
-            }
-            return
-        if nc_commutative_w_orbit_ok(ctx) is False:
-            cand.rule_id = "nc-commutative-Oh-shape"
-            cand.witness = {"orbit_w": list(ctx.orbit_w)}
-            return
-        cert2 = find_adv2_certificate(ctx)
-        if cert2 is not None:
-            cand.rule_id = "nc-adV2-certificate"
-            cand.witness = {"tuple": list(cert2)}
-            return
-        cert4 = find_adw4_certificate_nc(ctx)
-        if cert4 is not None:
-            cand.rule_id = "nc-adW4-certificate"
-            cand.witness = {"tuple": list(cert4)}
-            return
-        if size_bound_check(ctx, 1):
-            cand.rule_id = "nc-size-suppV-m1"
-            cand.witness = {"orbit_v_size": len(ctx.orbit_v), "bound": _size_bound(ctx, 1)}
-            return
-        if size_bound_check(ctx.swap(), 3):
-            cand.rule_id = "nc-size-suppW-m3"
-            cand.witness = {"orbit_w_size": len(ctx.orbit_w), "bound": _size_bound(ctx, 3)}
-            return
+            return rule_id, witness
     name = match_catalog(cand.quandle)
-    cand.matched_catalog_name = name if name in Z_QUANDLE_NAMES else None
+    return None, name if name in Z_QUANDLE_NAMES else None
 
 
 def envelope_post_filter(cand: Candidate) -> dict:
@@ -442,21 +432,22 @@ def envelope_post_filter(cand: Candidate) -> dict:
     quandles, with both roles landing in single conjugacy classes.
 
     A genuine support must embed this way by the universal property; a
-    flagged extra that embeds nowhere is eliminated.
+    flagged extra that embeds nowhere is eliminated.  Every map ``embeddings``
+    yields obeys f(a > b) = f(a) f(b) f(a)^-1, so the first one decides.
 
     Two exact cuts shrink the search without changing a verdict:
 
     - Root cut: element 1 gets one candidate, the first element of its role's
       class.  If f is an embedding with the given roles, so is g f g^-1 for
-      every g in the envelope G (classes are closed under conjugation, and
-      ``induced_hom``'s check is invariant under it); G is transitive on each
-      class, so some conjugate of f sends 1 there.
+      every g in the envelope G (classes are closed under conjugation, and so
+      is the law f(a > b) = f(a) f(b) f(a)^-1); G is transitive on each class,
+      so some conjugate of f sends 1 there.
     - Order prune: a pair of classes is skipped unless, for each role, the
       lcm of the translation orders ord(phi_x) over the role divides the
       element order of its class.  From f(phi_x^k(y)) = f(x)^k f(y) f(x)^-k
       and injectivity of f, ord(phi_x) divides ord(f(x)).
     """
-    from .envgroup import catalog_envelope, induced_hom
+    from .envgroup import catalog_envelope
 
     q = cand.quandle
     orbit_v, orbit_w = cand.ctx.orbit_v, cand.ctx.orbit_w
@@ -473,9 +464,8 @@ def envelope_post_filter(cand: Candidate) -> dict:
                 continue
             roles = [cls_v if x in orbit_v else cls_w for x in q.elements()]
             roles[0] = roles[0][:1]
-            for f in embeddings(q.table, group.conj, roles):
-                if induced_hom(q, dict(zip(q.elements(), f)), group.mul, group.inv) is not None:
-                    return {"eliminated": False, "embeds_in": name}
+            if next(embeddings(q.table, group.conj, roles), None) is not None:
+                return {"eliminated": False, "embeds_in": name}
     return {"eliminated": True, "reason": "no conjugation-equivariant embedding into any catalog envelope"}
 
 
@@ -496,52 +486,41 @@ def classify(
         raise ResourceCapError(f"classification census bounded at size {MAX_CENSUS_SIZE}")
     if branch not in ("both", "comm", "nc"):
         raise InputError("branch must be 'both', 'comm' or 'nc'")
-    candidates: list[Candidate] = []
-    examined = 0
-    for q in two_orbit_candidates(n_max):
-        orb1, orb2 = inner_orbits(q)
-        for ov, ow in ((orb1, orb2), (orb2, orb1)):
-            examined += 1
-            ctx = TwoOrbitContext(q, tuple(ov), tuple(ow))
-            cand = Candidate(q, ctx, "comm" if ctx.commuting else "nc")
-            if branch != "both" and cand.branch != branch:
-                continue
-            if require_noncommuting_pair and is_commutative_subset(q, q.elements()):
-                cand.rule_id = "abelian-proxy"
-                cand.witness = {"reason": "no non-commuting pair; group would be abelian"}
-                candidates.append(cand)
-                continue
-            evaluate_candidate(cand)
-            candidates.append(cand)
-
     matched: dict[str, dict] = {}
     flagged: list[dict] = []
     rejections: list[dict] = []
-    for c in candidates:
-        entry = {
-            "table": [list(r) for r in c.quandle.table],
-            "roles": {"orbit_v": list(c.ctx.orbit_v), "orbit_w": list(c.ctx.orbit_w)},
-            "branch": c.branch,
-        }
-        if c.rule_id is not None:
-            entry["rule_id"] = c.rule_id
-            entry["witness"] = c.witness
-            rejections.append(entry)
-        elif c.matched_catalog_name:
-            slot = matched.setdefault(
-                c.matched_catalog_name,
-                {"matched_catalog_name": c.matched_catalog_name, "realizations": []},
-            )
-            slot["realizations"].append(entry)
-        else:
-            entry["flag"] = "unmatched-survivor"
-            entry["post_filter"] = envelope_post_filter(c)
-            flagged.append(entry)
+    census = two_orbit_candidates(n_max)
+    for q in census:
+        abelian = require_noncommuting_pair and is_commutative_subset(q, q.elements())
+        orb1, orb2 = inner_orbits(q)
+        for ov, ow in ((orb1, orb2), (orb2, orb1)):
+            ctx = TwoOrbitContext(q, ov, ow)
+            cand = Candidate(q, ctx, "comm" if ctx.commuting else "nc")
+            if branch not in ("both", cand.branch):
+                continue
+            entry = {
+                "table": [list(r) for r in q.table],
+                "roles": {"orbit_v": list(ov), "orbit_w": list(ow)},
+                "branch": cand.branch,
+            }
+            if not abelian:
+                rule_id, found = evaluate_candidate(cand)
+            else:
+                rule_id = "abelian-proxy"
+                found = {"reason": "no non-commuting pair; group would be abelian"}
+            if rule_id is not None:
+                rejections.append({**entry, "rule_id": rule_id, "witness": found})
+            elif found is not None:
+                slot = {"matched_catalog_name": found, "realizations": []}
+                matched.setdefault(found, slot)["realizations"].append(entry)
+            else:
+                entry.update(flag="unmatched-survivor", post_filter=envelope_post_filter(cand))
+                flagged.append(entry)
 
     return {
         "n_max": n_max,
         "branch": branch,
-        "candidates_examined": examined,
+        "candidates_examined": 2 * len(census),  # both role splits of each class
         "survivors": [matched[k] for k in sorted(matched)],
         "flagged": flagged,
         "rejections": rejections,

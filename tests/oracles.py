@@ -6,6 +6,7 @@ with ``test_``), and test modules import it as ``oracles``.
 """
 
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from qnichols import nichols as N
@@ -93,6 +94,16 @@ def phi_support_expand(
             out[kept] += 1
             out[pushed] += 1
     return out
+
+
+# -- the labeled census up to isomorphism --------------------------------------
+
+
+@lru_cache(maxsize=None)
+def census_classes(n: int) -> tuple[Q.Quandle, ...]:
+    """One quandle per isomorphism class of size n, from the labeled census;
+    cached, since several tests read it and n = 6 is the slowest census size."""
+    return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
 
 
 # -- the two-orbit census: gluing without the orbit cuts ------------------------

@@ -773,6 +773,11 @@ def test_classify_deterministic_bytes(capsys):
             "29b9ae8832bd9b42ed20d06c89324c03d93f82f659d4e53cdff7960f8bb64445",
             marks=pytest.mark.slow,
         ),
+        pytest.param(
+            ("--n-max", "8", "--full"),
+            "f9f0137217acd245e38e176d1b4dcd0cabd7df7454181877142b85911302867f",
+            marks=pytest.mark.slow,
+        ),
     ],
 )
 def test_classify_output_pinned(capsys, argv, sha256):

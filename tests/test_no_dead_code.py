@@ -39,6 +39,7 @@ ALLOWLIST = {
     "envgroup.FinGroup.quotient": _ITEM_5,
     "envgroup.iter_isomorphisms": _ITEM_5,
     "envgroup.isoclinism_witness": _ITEM_5,
+    "envgroup.induced_hom": _ITEM_5,
     "envgroup.GammaElem": _ITEM_5,
     "envgroup.gamma_identity": _ITEM_5,
     "envgroup.gamma_eps": _ITEM_5,

@@ -8,7 +8,7 @@ from qnichols import quandle as Q
 from qnichols.errors import InputError
 from qnichols.supportcalc import census_splits, two_orbit_candidates
 
-from oracles import glued_quandles_uncut
+from oracles import census_classes, glued_quandles_uncut
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -184,11 +184,6 @@ def test_census_indecomposable_matches_catalog_upto5():
         reps = Q.iso_class_representatives(Q.enumerate_quandles(n))
         ind = {Q.match_catalog(q) for q in reps if len(Q.inner_orbits(q)) == 1}
         assert ind == expected
-
-
-@lru_cache(maxsize=None)
-def census_classes(n: int) -> tuple:
-    return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
 
 
 # OEIS A181771: quandles of order n up to isomorphism

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
 from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 
-from oracles import conj_word, phi_support_expand
+from oracles import census_classes, conj_word, phi_support_expand
 
 
 def adjoin_fixed_point(q: Quandle) -> Quandle:
@@ -206,7 +207,7 @@ def test_nc_battery_commuting_inapplicable():
 def test_nc_battery_transposition_failure():
     # V role on the three-cycle side: the W translations restrict to 3-cycles
     report = S.nc_necessary_conditions(ctx_for("Z_3^{3,2}", (1, 2, 3), (4, 5)))
-    assert report[S.NC_ITEMS[0]] == "fail"  # S3-orbit is not commutative
+    assert report["orbit_v_commutative"] == "fail"  # S3-orbit is not commutative
 
 
 def test_nc_decomposition_rules():
@@ -253,12 +254,208 @@ def test_find_certificates_on_survivors_none():
         assert S.find_adw4_certificate_nc(ctx) is None, name
 
 
+def _battery(*failing: str) -> dict:
+    return {item: "fail" if item in failing else "pass" for item in S.NC_ITEMS}
+
+
+_Q5 = (  # the 3+2 quandle: a commutative three-element orbit, cycled by 4 and 5
+    (1, 2, 3, 5, 4),
+    (1, 2, 3, 5, 4),
+    (1, 2, 3, 5, 4),
+    (2, 3, 1, 4, 5),
+    (2, 3, 1, 4, 5),
+)
+
+# For each rule id that fires on a role split of a quandle of size <= 6 or on
+# the size-7 census, the first such context by size: the table, the V and W
+# roles, and the (rule id, witness) that evaluate_candidate returns.
+_RULE_PINS = [
+    (
+        ((1, 2, 3), (1, 2, 3), (2, 1, 3)),
+        (1, 2),
+        (3,),
+        "nc-battery:movers_are_exactly_the_pair",
+        _battery("movers_are_exactly_the_pair"),
+    ),
+    (
+        ((1, 2, 3), (1, 2, 3), (2, 1, 3)),
+        (3,),
+        (1, 2),
+        "nc-battery:w_translations_restrict_to_transpositions",
+        _battery("w_translations_restrict_to_transpositions"),
+    ),
+    (
+        ((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), (1, 3, 2, 4)),
+        (1, 2, 3),
+        (4,),
+        "nc-battery:orbit_v_generated_by_w_translations",
+        _battery("orbit_v_generated_by_w_translations", "movers_are_exactly_the_pair"),
+    ),
+    (
+        ((1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 3, 4)),
+        (1, 2, 3),
+        (4,),
+        "nc-battery:orbit_v_commutative",
+        _battery(
+            "orbit_v_commutative",
+            "orbit_v_generated_by_w_translations",
+            "movers_are_exactly_the_pair",
+        ),
+    ),
+    (
+        ((1, 2, 3, 4), (1, 2, 4, 3), (1, 4, 3, 2), (1, 3, 2, 4)),
+        (2, 3, 4),
+        (1,),
+        "comm-size-suppV-m1",
+        {"orbit_v_size": 3, "bound": 1},
+    ),
+    (_Q5, (4, 5), (1, 2, 3), "nc-decomposable-Oh-structure", {"orbit_w_parts": [[1], [2], [3]]}),
+    (
+        (
+            (1, 2, 3, 4, 5, 6),
+            (1, 2, 3, 4, 6, 5),
+            (1, 2, 3, 4, 6, 5),
+            (1, 2, 3, 4, 6, 5),
+            (1, 3, 4, 2, 5, 6),
+            (1, 3, 4, 2, 5, 6),
+        ),
+        (1,),
+        (2, 3, 4, 5, 6),
+        "comm-adW4-certificate",
+        {"base": [2, 1], "tuple": [3, 4, 5, 2, 1]},
+    ),
+    (
+        (
+            (1, 2, 4, 3, 6, 5),
+            (1, 2, 4, 3, 6, 5),
+            (2, 1, 3, 4, 6, 5),
+            (2, 1, 3, 4, 6, 5),
+            (3, 4, 1, 2, 5, 6),
+            (4, 3, 2, 1, 5, 6),
+        ),
+        (5, 6),
+        (1, 2, 3, 4),
+        "nc-adW4-certificate",
+        {"tuple": [1, 3, 2, 4, 5]},
+    ),
+    (
+        (
+            (1, 2, 3, 4, 5, 6, 7),
+            (1, 2, 3, 5, 4, 7, 6),
+            (1, 2, 3, 6, 7, 4, 5),
+            (1, 5, 6, 4, 2, 3, 7),
+            (1, 4, 7, 2, 5, 6, 3),
+            (1, 7, 4, 3, 5, 6, 2),
+            (1, 6, 5, 4, 3, 2, 7),
+        ),
+        (1,),
+        (2, 3, 4, 5, 6, 7),
+        "comm-size-suppW-m3",
+        {"orbit_w_size": 6, "bound": 5},
+    ),
+]
+
+# Rule ids that no context of that search reaches: the roles are disjoint, so
+# orbits_distinct never fails; nc-commutative-Oh-shape is shadowed by the rules
+# before it; nc-size-suppW-m3 needs |W| >= 7 beside |V| >= 2, so size >= 9.
+_UNREACHED = {
+    "nc-battery:orbits_distinct",
+    "nc-battery:squares_fix_across",
+    "nc-commutative-Oh-shape",
+    "nc-adV2-certificate",
+    "nc-size-suppW-m3",
+}
+
+
+def _evaluate(table, ov, ow) -> tuple:
+    q = Quandle(table)
+    ctx = S.TwoOrbitContext(q, ov, ow)
+    return S.evaluate_candidate(S.Candidate(q, ctx, "comm" if ctx.commuting else "nc"))
+
+
+def test_rule_pins_cover_every_rule_id():
+    ids = [rule_id for rules in S.RULES.values() for rule_id, _ in rules]
+    assert sorted(ids) == sorted([pin[3] for pin in _RULE_PINS] + list(_UNREACHED))
+
+
+@pytest.mark.parametrize(
+    "table, ov, ow, rule_id, witness", _RULE_PINS, ids=[pin[3] for pin in _RULE_PINS]
+)
+def test_evaluate_candidate_first_rejecting_rule_pinned(table, ov, ow, rule_id, witness):
+    assert _evaluate(table, ov, ow) == (rule_id, witness)
+
+
+def test_evaluate_candidate_survivors():
+    assert _evaluate(catalog("Z_2^{2,2}").table, (1, 3), (2, 4)) == (None, "Z_2^{2,2}")
+    # trivial(2) passes every rule and matches no Z catalog quandle
+    assert _evaluate(((1, 2), (1, 2)), (1,), (2,)) == (None, None)
+
+
+def test_decomposable_witness_names_elements_of_the_w_orbit():
+    # _Q5 relabeled by 1, 2, 3, 4, 5 -> 3, 4, 5, 1, 2: the W orbit is {3, 4, 5}
+    f = (3, 4, 5, 1, 2)
+    table = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(5):
+            table[f[i] - 1][f[j] - 1] = f[_Q5[i][j] - 1]
+    assert _evaluate(table, (1, 2), (3, 4, 5)) == (
+        "nc-decomposable-Oh-structure",
+        {"orbit_w_parts": [[3], [4], [5]]},
+    )
+
+
+def _role_splits(q: Quandle):
+    """Every context of q: V a nonempty proper union of inner orbits, W the rest."""
+    orbits = Q.inner_orbits(q)
+    for k in range(1, len(orbits)):
+        for pick in itertools.combinations(orbits, k):
+            ov = tuple(sorted(x for orb in pick for x in orb))
+            yield S.TwoOrbitContext(q, ov, tuple(x for x in q.elements() if x not in ov))
+
+
+@pytest.mark.slow
+def test_v_size_rule_is_shadowed_by_the_battery():
+    # Once orbit_v_commutative passes, V is a trivial subquandle: its inner
+    # orbits are its points, so size_bound_check(ctx, 1) does not apply when
+    # |V| >= 3 or when W does not swap the two points of V, and otherwise
+    # |V| <= 2 = 2m.  So the nc branch has no size rule on V.
+    counts: Counter = Counter()
+    for n in range(1, 7):
+        for q in census_classes(n):
+            for ctx in _role_splits(q):
+                if ctx.commuting:
+                    continue
+                commutative = Q.is_commutative_subset(q, ctx.orbit_v)
+                exceeded = S.size_bound_check(ctx, 1) is True
+                assert not (commutative and exceeded), ctx
+                counts.update(contexts=1, commutative=commutative, exceeded=exceeded)
+    assert counts == {"contexts": 676, "commutative": 410, "exceeded": 12}
+
+
 def test_certified_tuples_level_counts():
     ctx = ctx_for("Z_4^{4,2}", (5, 6), (1, 2, 3, 4)).swap()
     lvl1 = S.certified_tuples(ctx, 1)
     assert lvl1  # every (p, s) with s > p != p
     lvl3 = S.certified_tuples(ctx, 3)
     assert lvl3 == set()
+
+
+def test_certified_tuples_from_a_start_level():
+    ctx = S.TwoOrbitContext(affine54_extension(), tuple(range(1, 6)), (6, 7))
+    level2 = S.certified_tuples(ctx, 2)
+    assert S.certified_tuples(ctx, 4, start=level2) == S.certified_tuples(ctx, 4) != set()
+    assert S.certified_tuples(ctx, 2, start=level2) == level2  # length m + 1: no step
+
+
+@pytest.mark.parametrize(
+    "start",
+    [set(), {(4, 1, 2)}, {(1,), (4, 1)}],
+    ids=["empty", "deeper-than-m", "mixed-lengths"],
+)
+def test_certified_tuples_rejects_a_bad_start(start):
+    ctx = ctx_for("Z_3^{3,2}", (4, 5), (1, 2, 3))
+    with pytest.raises(InputError):
+        S.certified_tuples(ctx, 1, start=start)
 
 
 @pytest.mark.parametrize(
@@ -460,8 +657,9 @@ def test_envelope_post_filter_verdicts_pinned_n6():
 
 def _post_filter_without_cuts(cand: S.Candidate):
     """envelope_post_filter's search with neither cut: every class pair that
-    passes the size check, every candidate of every element.  The verdict,
-    and every embedding found, keyed by (name, class of V, class of W)."""
+    passes the size check, every candidate of every element.  The verdict
+    (the first envelope with an embedding), and every embedding found, keyed
+    by (name, class of V, class of W)."""
     q, ctx = cand.quandle, cand.ctx
     verdict, found = _ELIMINATED, {}
     for name in Z_QUANDLE_NAMES:
@@ -473,8 +671,7 @@ def _post_filter_without_cuts(cand: S.Candidate):
             roles = [cls_v if x in ctx.orbit_v else cls_w for x in q.elements()]
             for f in Q.embeddings(q.table, group.conj, roles):
                 found.setdefault((name, cls_v, cls_w), []).append(f)
-                f_map = dict(zip(q.elements(), f))
-                if verdict is _ELIMINATED and E.induced_hom(q, f_map, group.mul, group.inv) is not None:
+                if verdict is _ELIMINATED:
                     verdict = {"eliminated": False, "embeds_in": name}
     return verdict, found
 
@@ -495,6 +692,9 @@ def test_envelope_post_filter_cuts_match_the_uncut_search():
                 for f in maps:
                     for x in q.elements():
                         assert group.element_order(f[x - 1]) % q.row_order(x) == 0, (q, name, f)
+                    # the post-filter lemma: every embedding induces a group map
+                    f_map = dict(zip(q.elements(), f))
+                    assert E.induced_hom(q, f_map, group.mul, group.inv) is not None, (q, f)
                 # the root cut: some embedding sends 1 to the first element of its class
                 assert any(f[0] == pair[root_class][0] for f in maps), (q, name, pair)
             embedded += len(found) > 0
