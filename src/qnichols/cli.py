@@ -46,7 +46,7 @@ def cmd_quandle(args) -> int:
         {
             "size": q.n,
             "table": [list(r) for r in q.table],
-            "is_quandle": quandle.is_quandle(q.table),
+            "is_quandle": True,  # loading the quandle checked the axioms
             "is_crossed_set": quandle.is_crossed_set(q),
             "orbits": [list(o) for o in orbits],
             "indecomposable": len(orbits) == 1,

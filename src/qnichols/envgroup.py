@@ -54,28 +54,21 @@ def enveloping_presentation(q: Quandle) -> Presentation:
     """Presentation of the enveloping group: x_i x_j = x_{i>j} x_i.
 
     All ordered pairs i != j contribute (pairs with i>j = j yield commutation
-    relators, which the group needs); exact inverse duplicates are omitted.
+    relators, which the group needs), except that the relator (i, j, -i, -k)
+    is omitted when it inverts an earlier one: exactly when i and j commute
+    and j < i, as the inverse of the relator of (j, i).  Every relator has
+    the sign pattern (+, +, -, -), which no nontrivial rotation keeps, so no
+    relator is a cyclic rotation of another or of another's inverse.
     """
     gens = tuple(f"x{i}" for i in q.elements())
     relators: list[Word] = []
-    seen: set[Word] = set()
     for i in q.elements():
         for j in q.elements():
-            if i == j:
-                continue
             k = q.op(i, j)
-            word: Word = (i, j, -i, -k)
-            inverse_cyclics = _cyclic_variants(tuple(-v for v in reversed(word)))
-            if word in seen or any(w in seen for w in inverse_cyclics):
+            if i == j or (k == j and q.op(j, i) == i and j < i):
                 continue
-            seen.add(word)
-            seen.update(_cyclic_variants(word))
-            relators.append(word)
+            relators.append((i, j, -i, -k))
     return Presentation(gens, tuple(relators))
-
-
-def _cyclic_variants(w: Word) -> list[Word]:
-    return [w[k:] + w[:k] for k in range(len(w))]
 
 
 # -- Todd-Coxeter -------------------------------------------------------------
@@ -263,6 +256,8 @@ class FinGroup:
     def _validate_rows(self) -> None:
         """Shape, identity and permutation-row checks of the table."""
         n = self.order
+        if n == 0:
+            raise InputError("a group has at least its identity element")
         for row in self.mult:
             if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise InputError("malformed multiplication table")

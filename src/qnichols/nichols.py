@@ -250,7 +250,6 @@ def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) 
     S_m is applied once per V^(x)m basis tuple within the call."""
     _check_budget(cap)
     _check_power(m, "m", 1)
-    _check_cap(v.dim**m, cap)
     _check_cap(v.dim**m * w.dim, cap)
     factors = (v,) * m + (w,)
     memo: dict = {}
@@ -296,7 +295,6 @@ def adjoint_power_report(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DI
     _check_power(m, "m", 0)
     if m == 0:
         return {"m": 0, "dim": w.dim, "per_block": []}
-    _check_cap(v.dim**m, cap)
     _check_cap(v.dim**m * w.dim, cap)
     factors = (v,) * m + (w,)
     deg = _degrees(factors)

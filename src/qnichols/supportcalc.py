@@ -32,6 +32,7 @@ from .quandle import (
     is_commutative_subset,
     is_crossed_set,
     iso_class_representatives,
+    # unused here; bench/layers.py patches supportcalc.isomorphic by name
     isomorphic,
     match_catalog,
     subquandle,
@@ -264,14 +265,6 @@ def nc_w_orbit_decomposition_ok(ctx: TwoOrbitContext) -> Optional[bool]:
     return _swapped_halves(ctx.quandle, ctx.orbit_w, ctx.orbit_v)
 
 
-def nc_commutative_w_orbit_ok(ctx: TwoOrbitContext) -> Optional[bool]:
-    """Non-commuting branch: a commutative W orbit forces the whole quandle to
-    be the dihedral four-element one.  None when the W orbit is not commutative."""
-    if not is_commutative_subset(ctx.quandle, ctx.orbit_w):
-        return None
-    return isomorphic(ctx.quandle, catalog("Z_2^{2,2}")) is not None
-
-
 def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
     """Evaluate the six necessary conclusions forced on non-commuting
     two-orbit contexts by vanishing of the second adjoint power.
@@ -403,10 +396,8 @@ RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
             for item, holds in NC_ITEMS.items()
         ),
         ("nc-decomposable-Oh-structure", _fails(nc_w_orbit_decomposition_ok, _w_parts)),
-        (
-            "nc-commutative-Oh-shape",
-            _fails(nc_commutative_w_orbit_ok, lambda ctx: {"orbit_w": list(ctx.orbit_w)}),
-        ),
+        # no commutative-W rule: past the rules above a commutative W has |W| <= 2 and
+        # |V| <= |W| + 1, and the census has no such context but Z_2^{2,2}'s role splits
         ("nc-adV2-certificate", _certificate_rule(find_adv2_certificate)),
         ("nc-adW4-certificate", _certificate_rule(find_adw4_certificate_nc)),
         # no V size rule: orbit_v_commutative makes size_bound_check(ctx, 1) None or False

@@ -64,30 +64,27 @@ def extend_character(
 ) -> dict[int, CycNum]:
     """Extend a character given on generators multiplicatively over a subgroup.
 
-    Raises InputError when the values conflict (non-multiplicative character)
+    One pass over the reached elements a and the generators s sets
+    values[a s] = values[a] chi(s).  A pass without a clash is a homomorphism:
+    every element of a finite group is a positive word in its generators.
+    Raises InputError when the values clash (non-multiplicative character)
     or the given elements do not generate the subgroup."""
     sub = set(subgroup)
     for x in character:
         if x not in sub:
             raise InputError(f"character argument {x} lies outside the subgroup")
     values: dict[int, CycNum] = {0: one()}
-    for x, v in character.items():
-        if x in values and values[x] != v:
-            raise InputError("character conflicts with identity value")
-        values[x] = v
-    frontier = list(values)
-    while frontier:
-        a = frontier.pop()
-        for b in list(values):
-            for x, y in ((a, b), (b, a)):
-                prod = group.mul(x, y)
-                want = values[x] * values[y]
-                cur = values.get(prod)
-                if cur is None:
-                    values[prod] = want
-                    frontier.append(prod)
-                elif cur != want:
-                    raise InputError("character is not multiplicative on the centralizer")
+    reached = [0]
+    for a in reached:  # grows as the pass reaches new elements
+        for s, chi in character.items():
+            prod = group.mul(a, s)
+            want = values[a] * chi
+            cur = values.get(prod)
+            if cur is None:
+                values[prod] = want
+                reached.append(prod)
+            elif cur != want:
+                raise InputError("character is not multiplicative on the centralizer")
     if set(values) != sub:
         raise InputError("character generators do not generate the centralizer")
     return values

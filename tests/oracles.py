@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from qnichols import nichols as N
 from qnichols import quandle as Q
 from qnichols.cyclotomic import CycMatrix, CycNum
+from qnichols.envgroup import FinGroup
 from qnichols.errors import InputError
 from qnichols.supportcalc import DegreeTuple, TwoOrbitContext
 from qnichols.weyl import ID2, NEG_ID2, Mat2, eta, mat_mul
@@ -94,6 +95,64 @@ def phi_support_expand(
             out[kept] += 1
             out[pushed] += 1
     return out
+
+
+# -- presentations and characters: the searches the library replaced ----------
+
+
+def enveloping_presentation_cyclic(q: Q.Quandle) -> tuple[tuple[int, ...], ...]:
+    """The relators of ``envgroup.enveloping_presentation`` found by search:
+    (i, j, -i, -(i > j)) for every pair i != j, skipped when it or the inverse
+    of it is a cyclic rotation of a relator kept before it."""
+
+    def rotations(w: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return [w[k:] + w[:k] for k in range(len(w))]
+
+    relators: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for i in q.elements():
+        for j in q.elements():
+            if i == j:
+                continue
+            word = (i, j, -i, -q.op(i, j))
+            inverse = tuple(-v for v in reversed(word))
+            if word in seen or any(w in seen for w in rotations(inverse)):
+                continue
+            seen.update(rotations(word))
+            relators.append(word)
+    return tuple(relators)
+
+
+def extend_character_all_pairs(
+    group: FinGroup, subgroup: Sequence[int], character: dict[int, CycNum]
+) -> dict[int, CycNum]:
+    """``ydmod.extend_character`` by closure: multiply every pair of reached
+    elements in both orders until nothing new is reached, raising InputError
+    on a conflict or when the given elements do not generate the subgroup."""
+    sub = set(subgroup)
+    if any(x not in sub for x in character):
+        raise InputError("character argument lies outside the subgroup")
+    values: dict[int, CycNum] = {0: CycNum.rational(1)}
+    for x, v in character.items():
+        if x in values and values[x] != v:
+            raise InputError("character conflicts with identity value")
+        values[x] = v
+    frontier = list(values)
+    while frontier:
+        a = frontier.pop()
+        for b in list(values):
+            for x, y in ((a, b), (b, a)):
+                prod = group.mul(x, y)
+                want = values[x] * values[y]
+                cur = values.get(prod)
+                if cur is None:
+                    values[prod] = want
+                    frontier.append(prod)
+                elif cur != want:
+                    raise InputError("character is not multiplicative")
+    if set(values) != sub:
+        raise InputError("character generators do not generate the subgroup")
+    return values
 
 
 # -- the labeled census up to isomorphism --------------------------------------

@@ -277,6 +277,35 @@ def test_envgroup_catalog_output_pinned(capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == sha256, (name, flags)
 
 
+# sha256 of `envgroup --catalog NAME --export-presentation` stdout
+_PRESENTATION_SHA256 = {
+    "(12)^S3": "c2858ed20004a7d0af926edf02338ca6160bc524fd95b44eb3502cccbf0e3a08",
+    "(12)^S4": "4257f51465b4db1d918dcc7aafc99331f74a1dd75383499e9f70a6c73a0776ec",
+    "(123)^A4": "ef31736c1a4344f541f41726d41dcc3e33bf57ea31392a7d9df71eb3b475f6d5",
+    "(1234)^S4": "0886552d93883616de995bbfb763b7df6428f289eed13e95fbbdbae7b6d7b056",
+    "Aff(5,2)": "e313b897e7652eae362f5765c03eea9e6da252663258e46ba7ab8d015d250dcb",
+    "Aff(5,3)": "a3a4132ad1326685ac976180b9c99ceef3daba8d59b95c5961e0f7c593ed28b8",
+    "Aff(5,4)": "824492a9e4433655e3023481a16c4524ea763f81dc072aa3a059d681bc9c6783",
+    "Z_2^{2,2}": "21feeb1f8b5edec02fadeafea3119cc09e1e34b3e2a9a7ff55ec168b8befc4bc",
+    "Z_3^{3,1}": "9b520fb8316453d3b65250e0594df5912246664f557e4fe9672bd19f0971a62a",
+    "Z_3^{3,2}": "533957c23f66c1ecc20e20f8c873efd730503e8e5a1b731ff45aa1b2d1bfef4b",
+    "Z_4^{4,2}": "a98a523247918d8dc67e03fc82a7d20806aeac5da5b68a309f4a367fccf0b71a",
+    "Z_T^{4,1}": "7a3b62297cdc79d482c02b73da356e77d6d345dc19b877432a035257ed08bc99",
+    "trivial(3)": "2b0a2ae0d77dba23fbed47ded9de63502f7538061faf64f6c69f23fb3fe3baf1",
+}
+
+
+def test_presentation_pins_cover_the_catalog():
+    assert sorted(_PRESENTATION_SHA256) == catalog_names()[1:] + ["trivial(3)"]
+
+
+@pytest.mark.parametrize("name", sorted(_PRESENTATION_SHA256))
+def test_envgroup_presentation_output_pinned(capsys, name):
+    code, out = run(capsys, "envgroup", "--catalog", name, "--export-presentation")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PRESENTATION_SHA256[name]
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",

@@ -4,7 +4,16 @@ from hypothesis import given, settings, strategies as st
 from qnichols import envgroup as E
 from qnichols import ydmod as Y
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
-from qnichols.quandle import catalog, catalog_names, INDECOMPOSABLE_NAMES, Z_QUANDLE_NAMES
+from qnichols.quandle import (
+    INDECOMPOSABLE_NAMES,
+    Z_QUANDLE_NAMES,
+    catalog,
+    catalog_names,
+    enumerate_quandles,
+)
+from qnichols.supportcalc import two_orbit_candidates
+
+from oracles import enveloping_presentation_cyclic
 
 
 # -- presentations -------------------------------------------------------------
@@ -27,6 +36,20 @@ def test_presentation_z222_matches_affine_rule():
     for i in q.elements():
         for j in q.elements():
             assert q.op(i, j) == ((2 * i - j - 1) % 4) + 1  # x_i x_j = x_{2i-j mod 4} x_i
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_presentation_matches_the_cyclic_search_on_labeled_quandles(n):
+    for q in enumerate_quandles(n):
+        assert E.enveloping_presentation(q).relators == enveloping_presentation_cyclic(q)
+
+
+def test_presentation_matches_the_cyclic_search_on_catalog_and_census():
+    named = [catalog(name) for name in catalog_names()[1:] + ["trivial(3)"]]
+    for q in named + two_orbit_candidates(7):
+        assert E.enveloping_presentation(q).relators == enveloping_presentation_cyclic(q)
 
 
 def test_presentation_text_format():
@@ -323,6 +346,12 @@ def test_fingroup_validation():
         E.FinGroup([[0, 1], [1, 1]])  # not a permutation row
     with pytest.raises(InputError):
         E.FinGroup([[1, 0], [0, 1]])  # 0 not identity
+
+
+def test_fingroup_refuses_the_empty_table():
+    # an empty table has no identity: its commutator subgroup would be (0,)
+    with pytest.raises(InputError, match="identity"):
+        E.FinGroup([])
 
 
 def test_fingroup_validation_checks_every_triple_above_order_64():

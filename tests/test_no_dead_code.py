@@ -6,11 +6,15 @@ What runs is ``cli.main``, the module-level statements of the package, and
 every identifier in the non-test files under ``bench/``: names, attributes,
 and identifier-like strings, since ``bench/layers.py`` patches functions by
 attribute name.  From a reached definition the search follows each
-``ast.Name`` and ``ast.Attribute`` identifier in it to every definition of
-that name, so a method is reached by any attribute of its name.  A reached
-class also reaches its bases, decorators, class-level statements and dunder
-methods, which Python calls implicitly.  Dunders are never checked themselves:
-an unused one has to be deleted by hand.
+identifier in it: a bare ``ast.Name`` to every module-level definition of that
+name, an ``ast.Attribute`` or a bench string to every definition of that name,
+so a method is reached by any attribute of its name.  A reached class also
+reaches its bases, decorators, class-level statements and dunder methods,
+which Python calls implicitly.  Dunders are never checked themselves: an
+unused one has to be deleted by hand.
+
+Every name a ``src`` module imports is used in that module, unless
+``bench/layers.py`` patches it there by name.
 
 Code that only the tests run is deleted, or moved into ``tests/oracles.py``
 when tests compare the library against it.
@@ -37,6 +41,7 @@ ALLOWLIST = {
     "weyl.finite_type": _ITEM_3,
     "weyl.detect_finite_object": _ITEM_3,
     "envgroup.FinGroup.quotient": _ITEM_5,
+    "envgroup.FinGroup.subgroup": _ITEM_5,
     "envgroup.iter_isomorphisms": _ITEM_5,
     "envgroup.isoclinism_witness": _ITEM_5,
     "envgroup.induced_hom": _ITEM_5,
@@ -73,15 +78,17 @@ def _dunder(name: str) -> bool:
 
 
 def _identifiers(nodes, strings: bool = False):
+    """(identifier, bare): bare for an ``ast.Name``, which can only mean a
+    module-level definition, not a method."""
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                yield sub.id
+                yield sub.id, True
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr
+                yield sub.attr, False
             elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 if sub.value.isidentifier():
-                    yield sub.value
+                    yield sub.value, False
 
 
 def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
@@ -116,13 +123,19 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
     words = list(_identifiers(roots))
     for path in bench:
         words += _identifiers([ast.parse(path.read_text())], strings=True)
-    todo += [q for word in words for q in by_name.get(word, [])]
+
+    def definitions(identifiers):
+        # a module-level qualname is "module.name"; a method's has one dot more
+        for word, bare in identifiers:
+            yield from (q for q in by_name.get(word, []) if not bare or q.count(".") == 1)
+
+    todo += definitions(words)
     while todo:
         qualname = todo.pop()
         if qualname in reached:
             continue
         reached.add(qualname)
-        todo += [q for word in _identifiers(follow[qualname]) for q in by_name.get(word, [])]
+        todo += definitions(_identifiers(follow[qualname]))
     dead = where.keys() - reached
     return {q: at for q, at in where.items() if q in dead and q.rsplit(".", 1)[0] not in dead}
 
@@ -157,8 +170,8 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
     ))
     (package / "lib.py").write_text(textwrap.dedent(
         """
-        def helper():
-            return _private()
+        def helper(shadow=0):
+            return _private() + shadow
 
         def _private():
             return 1
@@ -182,6 +195,9 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
             def unused(self):
                 pass
 
+            def shadow(self):
+                pass
+
         def _from_init():
             pass
 
@@ -192,8 +208,66 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
     ))
     bench = tmp_path / "layers.py"
     bench.write_text('PATCH = [(lib, "benched")]\n')
-    assert set(unreached(package, [])) == {"lib.benched", "lib.dead", "lib.Box.unused", "lib.Ghost"}
-    assert set(unreached(package, [bench])) == {"lib.dead", "lib.Box.unused", "lib.Ghost"}
+    # a bare name (the parameter shadow) reaches no method of that name
+    dead = {"lib.dead", "lib.Box.unused", "lib.Box.shadow", "lib.Ghost"}
+    assert set(unreached(package, [])) == dead | {"lib.benched"}
+    assert set(unreached(package, [bench])) == dead
+
+
+def unused_imports(package: Path) -> set[str]:
+    """"module.name" of every name a module of ``package`` imports and never
+    reads as a bare name."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        out.add(f"{path.stem}.{bound}")
+    return out
+
+
+def bench_patches(layers: Path) -> set[str]:
+    """"module.name" of each (module, "name", ...) entry in ``layers``: the
+    module attributes it replaces by name."""
+    return {
+        f"{node.elts[0].id}.{node.elts[1].value}"
+        for node in ast.walk(ast.parse(layers.read_text()))
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) >= 2
+        and isinstance(node.elts[0], ast.Name)
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+    }
+
+
+def test_every_import_is_used_or_patched_by_bench():
+    patched = bench_patches(ROOT / "bench" / "layers.py")
+    assert "supportcalc.isomorphic" in patched
+    assert unused_imports(PACKAGE) - patched == set()
+
+
+def test_unused_imports_sees_plain_from_and_aliased_imports(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(textwrap.dedent(
+        """
+        from __future__ import annotations
+        import os.path
+        import json as j
+        from . import lib, other
+        from .lib import a, b as c
+
+        def f():
+            return lib.x + a + j
+        """
+    ))
+    assert unused_imports(package) == {"mod.os", "mod.other", "mod.c"}
 
 
 def test_package_top_level_binds_only_the_version():

@@ -222,13 +222,10 @@ def test_nc_decomposition_rules():
     )
     ctx = S.TwoOrbitContext(q5, (4, 5), (1, 2, 3))
     assert S.nc_w_orbit_decomposition_ok(ctx) is False  # three singleton parts
-    assert S.nc_commutative_w_orbit_ok(ctx) is False  # commutative but not dihedral
     good = ctx_for("Z_2^{2,2}", (1, 3), (2, 4))
     assert S.nc_w_orbit_decomposition_ok(good) is True
-    assert S.nc_commutative_w_orbit_ok(good) is True
     indec = ctx_for("Z_3^{3,2}", (4, 5), (1, 2, 3))
     assert S.nc_w_orbit_decomposition_ok(indec) is None
-    assert S.nc_commutative_w_orbit_ok(indec) is None
 
 
 # -- search-level rejection helpers ----------------------------------------------
@@ -356,12 +353,11 @@ _RULE_PINS = [
 ]
 
 # Rule ids that no context of that search reaches: the roles are disjoint, so
-# orbits_distinct never fails; nc-commutative-Oh-shape is shadowed by the rules
-# before it; nc-size-suppW-m3 needs |W| >= 7 beside |V| >= 2, so size >= 9.
+# orbits_distinct never fails; nc-size-suppW-m3 needs |W| >= 7 beside |V| >= 2,
+# so size >= 9.
 _UNREACHED = {
     "nc-battery:orbits_distinct",
     "nc-battery:squares_fix_across",
-    "nc-commutative-Oh-shape",
     "nc-adV2-certificate",
     "nc-size-suppW-m3",
 }
@@ -430,6 +426,28 @@ def test_v_size_rule_is_shadowed_by_the_battery():
                 assert not (commutative and exceeded), ctx
                 counts.update(contexts=1, commutative=commutative, exceeded=exceeded)
     assert counts == {"contexts": 676, "commutative": 410, "exceeded": 12}
+
+
+@pytest.mark.slow
+def test_commutative_w_is_settled_by_the_rules_before_the_certificates():
+    # A commutative W is a trivial subquandle.  If |W| >= 2 the decomposition
+    # rule leaves exactly two parts, so |W| = 2; W's translations are
+    # transpositions acting transitively on V, so |V| <= |W| + 1.  The only
+    # such contexts in the census are the role splits of Z_2^{2,2}, so a rule
+    # asking a commutative W to be Z_2^{2,2} would never fire.
+    rules = [rule_id for rule_id, _ in S.RULES["nc"]]
+    earlier = S.RULES["nc"][: rules.index("nc-decomposable-Oh-structure") + 1]
+    passing = commutative_w = 0
+    for q in S.two_orbit_candidates(8):
+        for ctx in _role_splits(q):
+            if ctx.commuting or any(check(ctx) is not None for _, check in earlier):
+                continue
+            passing += 1
+            if Q.is_commutative_subset(q, ctx.orbit_w):
+                commutative_w += 1
+                assert len(ctx.orbit_w) <= 2 and len(ctx.orbit_v) <= len(ctx.orbit_w) + 1
+                assert Q.isomorphic(q, catalog("Z_2^{2,2}")) is not None
+    assert (passing, commutative_w) == (8, 2)
 
 
 def test_certified_tuples_level_counts():

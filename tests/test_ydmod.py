@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from qnichols import cyclotomic as C
 from qnichols import ydmod as Y
-from qnichols.envgroup import finite_enveloping_group, sl23
+from qnichols.envgroup import catalog_envelope, finite_enveloping_group, sl23
 from qnichols.errors import InputError
-from qnichols.quandle import Quandle, catalog, match_catalog
+from qnichols.quandle import Quandle, catalog, catalog_names, match_catalog
+
+from oracles import extend_character_all_pairs
 
 
 def test_transposition_module_basic():
@@ -53,6 +57,48 @@ def test_character_must_generate():
     rep = next(c[0] for c in g.conjugacy_classes() if len(c) == 4)
     with pytest.raises(InputError):
         Y.extend_character(g, g.centralizer(rep), {0: C.one()})
+
+
+def _character_groups():
+    yield from (catalog_envelope(name)[0].group for name in catalog_names()[1:])
+    yield sl23()[0]
+    yield Y.abelian_group([2, 4])
+    yield Y.abelian_group([3, 3])
+
+
+def _outcome(extend, group, subgroup, character):
+    try:
+        return extend(group, subgroup, character)
+    except InputError:
+        return "rejected"
+
+
+def test_extend_character_matches_the_all_pairs_closure():
+    # seeded characters on every centralizer of each group: one to three
+    # elements, the identity among them at times, each sent to a root of
+    # unity whose order divides twice the element's order
+    rng = random.Random(19)
+    accepted = rejected = 0
+    for group in _character_groups():
+        for rep in range(group.order):
+            cent = group.centralizer(rep)
+            for _ in range(3):
+                gens = rng.sample(cent, min(len(cent), rng.randint(1, 3)))
+                character = {
+                    s: C.CycNum.zeta(2 * group.element_order(s), rng.randrange(8))
+                    for s in gens
+                }
+                got = _outcome(Y.extend_character, group, cent, character)
+                assert got == _outcome(extend_character_all_pairs, group, cent, character)
+                accepted += got != "rejected"
+                rejected += got == "rejected"
+    assert accepted and rejected
+
+
+def test_extend_character_rejects_a_nontrivial_identity_value():
+    g = Y.abelian_group([2])
+    with pytest.raises(InputError, match="not multiplicative"):
+        Y.extend_character(g, (0, 1), {0: C.CycNum.rational(-1), 1: C.CycNum.rational(-1)})
 
 
 def test_yd_compatibility_and_multiplicativity_all_constructed():
