@@ -435,10 +435,8 @@ def iter_isomorphisms(
 class EnvelopingGroup:
     """Finite enveloping quotient of a quandle with the generator images."""
 
-    quandle: Quandle
     group: FinGroup
     images: tuple[int, ...]  # images[i-1] = id of the image of x_i
-    power_relators: tuple[Word, ...]
     decomposable_extension: bool  # one power relator per orbit beyond the first
 
 
@@ -460,10 +458,8 @@ def finite_enveloping_group(q: Quandle, max_cosets: int = DEFAULT_MAX_COSETS) ->
     table = todd_coxeter(full, max_cosets)
     group, images = _group_from_regular_table(table, full)
     return EnvelopingGroup(
-        quandle=q,
         group=group,
         images=tuple(images[k] for k in range(len(full.generators))),
-        power_relators=tuple(power_relators),
         decomposable_extension=len(orbits) > 1,
     )
 

@@ -481,9 +481,7 @@ def _row_search(candidates: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[tup
     self-distributivity is enforced by propagating the conjugation constraint
     phi_{i>j} = phi_i phi_j phi_i^{-1} whenever both sides become determined,
     which prunes most of the tree.  A forced row bypasses its list: it is
-    kept whether or not the list holds it.  So a list whose index no earlier
-    row can force is the only source of that row, and may be cut to
-    representatives of a symmetry of the tables sought.
+    kept whether or not the list holds it.
     """
     n = len(candidates)
     rows: list[Optional[tuple[int, ...]]] = [None] * (n + 1)
@@ -663,60 +661,49 @@ def canonical_table(q: Quandle) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v + 1 for v in best[r * n : (r + 1) * n]) for r in range(n))
 
 
-def _conjugacy_representatives(
-    perms: Sequence[tuple[int, ...]], by: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """The first member of each orbit of ``perms`` under conjugation
-    g -> h g h^{-1} by the one-line maps ``by``, in the order of ``perms``."""
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for g in perms:
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in by:
-            conj = [0] * len(g)
-            for i, v in enumerate(g):
-                conj[h[i] - 1] = h[v - 1]
-            seen.add(tuple(conj))
-    return reps
-
-
 def glued_quandles(a: Quandle, b: Quandle) -> Iterator[Quandle]:
-    """Quandles on {1..|a|+|b|} restricting to a on {1..|a|} and to b on the
-    rest (shifted by |a|), with both blocks invariant under every translation,
-    at least one from each isomorphism class of such gluings.
+    """Every quandle on {1..|a|+|b|} restricting to a on {1..|a|} and to b on
+    the rest (shifted by |a|), with both blocks invariant under every
+    translation.
 
     Such a translation is a translation of its own block plus an automorphism
     of the other block, so these rows are the candidate lists of the row
-    search.  Relabeling the blocks by Aut(a) x Aut(b) maps gluings to
-    gluings, and two lists are cut to orbit representatives:
-    - row 1 takes its b-part from one automorphism per conjugacy class of
-      Aut(b), since relabeling b by g conjugates every b-part by g;
-    - row |a|+1 takes its a-part from one automorphism per class of Aut(a)
-      under conjugation by the stabilizer of 1 in Aut(a), since relabeling
-      a by such an h conjugates every a-part by h and leaves row 1 alone.
-    Both cuts are exact: each orbit of gluings meets the cut set, because the
-    search assigns row 1 first and row |a|+1 right after rows 1..|a|, whose
-    constraints force only rows of a, so neither row is ever forced.
+    search.
     """
     na = a.n
     aut_a = automorphisms(a)
-    aut_b = automorphisms(b)
-    first_b = _conjugacy_representatives(aut_b, aut_b)
-    first_a = _conjugacy_representatives(aut_a, [h for h in aut_a if h[0] == 1])
-
-    def shift(g: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(v + na for v in g)
-
-    candidates = [
-        [a.row(x) + shift(g) for g in (first_b if x == 1 else aut_b)] for x in a.elements()
-    ]
-    candidates += [
-        [g + shift(b.row(y)) for g in (first_a if y == 1 else aut_a)] for y in b.elements()
-    ]
+    aut_b = [tuple(v + na for v in g) for g in automorphisms(b)]
+    candidates = [[a.row(x) + g for g in aut_b] for x in a.elements()]
+    candidates += [[g + tuple(v + na for v in b.row(y)) for g in aut_a] for y in b.elements()]
     for rows in _row_search(candidates):
         yield Quandle(rows, check=False)
+
+
+def cycle_pair(k: int, l: int) -> Quandle:
+    """trivial(k) on {1..k} beside trivial(l) on {k+1..k+l}, where every
+    element of each block acts on the other block by one full cycle (add 1
+    to its labels, cyclically).
+
+    For 2 <= k <= l this is the one isomorphism class of crossed-set quandles
+    whose two inner orbits, of sizes k and l, are both trivial quandles:
+    - Both blocks A and B are invariant.  So each a in A acts as the identity
+      on A and by some g_a on B, and each b in B by some h_b on A and as the
+      identity on B.
+    - Self-distributivity at (a, b) says phi(a > b) = phi(a) phi(b) phi(a)^-1.
+      Its A-part gives h(g_a(b)) = h(b), so h is constant on the orbits of
+      the g_a in B; likewise g is constant on the orbits of the h_b in A.
+    - Two inner orbits means the h_b act transitively on A and the g_a on B.
+      So every b acts by one h and every a by one g, and one permutation that
+      generates a transitive group is a full cycle.
+    - Conversely this table is a quandle (the two cycles commute) and a
+      crossed set (a full cycle of a block of size >= 2 moves every element),
+      with inner orbits {1..k} and {k+1..k+l}.  Relabeling a block conjugates
+      its cycle to any other full cycle.
+    """
+    n = k + l
+    a_row = tuple(range(1, k + 1)) + tuple(k + 1 + (j + 1) % l for j in range(l))
+    b_row = tuple(1 + (i + 1) % k for i in range(k)) + tuple(range(k + 1, n + 1))
+    return Quandle([a_row] * k + [b_row] * l)
 
 
 def iso_class_representatives(quandles: Iterable[Quandle]) -> list[Quandle]:

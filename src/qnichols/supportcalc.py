@@ -25,6 +25,7 @@ from .quandle import (
     canonical_table,
     catalog,
     connected_quandles,
+    cycle_pair,
     embeddings,
     enumerate_quandles,
     glued_quandles,
@@ -291,8 +292,12 @@ def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:
     transitively by automorphisms, so it is homogeneous.  When |A| = 1 the
     crossed-set law forces the point to act trivially on B, so B is one of
     the connected quandles.  Otherwise both pieces have size <= n - 2 and
-    come from the labeled census of that size, one per isomorphism class.
+    come from the labeled census of that size, one per isomorphism class,
+    except that two trivial pieces are left out: ``cycle_pair`` is their one
+    class.
     """
+    if n_max > MAX_CENSUS_SIZE:
+        raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
     pieces: dict[int, list[Quandle]] = {}
 
     def homogeneous_pieces(k: int) -> list[Quandle]:
@@ -305,6 +310,9 @@ def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:
             ]
         return pieces[k]
 
+    def trivial(q: Quandle) -> bool:
+        return is_commutative_subset(q, q.elements())
+
     point = catalog("trivial(1)")
     out: dict[int, list[tuple[Quandle, Quandle]]] = {}
     for n in range(2, n_max + 1):
@@ -312,7 +320,11 @@ def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:
         for k in range(2, n // 2 + 1):
             small, large = homogeneous_pieces(k), homogeneous_pieces(n - k)
             for i, a in enumerate(small):
-                splits += [(a, b) for b in (large[i:] if k == n - k else large)]
+                splits += [
+                    (a, b)
+                    for b in (large[i:] if k == n - k else large)
+                    if not (trivial(a) and trivial(b))
+                ]
         out[n] = splits
     return out
 
@@ -323,24 +335,19 @@ def two_orbit_candidates(n_max: int) -> list[Quandle]:
     each representative is its class's canonical (least) table.
 
     Each candidate X = A u B is glued from its two inner orbits A and B, one
-    pair per entry of ``census_splits``.  ``glued_quandles`` does not yield
-    every labeled gluing: row 1 takes its B-part from one automorphism per
-    conjugacy class of Aut(B), and row |A|+1 its A-part from one per class
-    of Aut(A) under conjugation by the stabilizer of 1.  Relabeling B, and
-    then A by an automorphism fixing 1, brings any gluing to one of these,
-    so every Aut(A) x Aut(B)-orbit of gluings meets the output; the set of
-    canonical tables keeps every class once and drops the copies left.
+    pair per entry of ``census_splits``, and the set of canonical tables keeps
+    every class once.  When A and B are both trivial, of sizes k and n - k,
+    the class is ``cycle_pair(k, n - k)`` and is written down, not glued.
     """
-    if n_max > MAX_CENSUS_SIZE:
-        raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
     out: list[Quandle] = []
-    for splits in census_splits(n_max).values():
+    for n, splits in census_splits(n_max).items():
         tables = {
             canonical_table(q)
             for a, b in splits
             for q in glued_quandles(a, b)
             if len(inner_orbits(q)) == 2 and is_crossed_set(q)
         }
+        tables.update(canonical_table(cycle_pair(k, n - k)) for k in range(2, n // 2 + 1))
         out.extend(Quandle(t, check=False) for t in sorted(tables))
     return out
 

@@ -7,7 +7,7 @@ with ``test_``), and test modules import it as ``oracles``.
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from qnichols import nichols as N
 from qnichols import quandle as Q
@@ -163,22 +163,6 @@ def census_classes(n: int) -> tuple[Q.Quandle, ...]:
     """One quandle per isomorphism class of size n, from the labeled census;
     cached, since several tests read it and n = 6 is the slowest census size."""
     return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
-
-
-# -- the two-orbit census: gluing without the orbit cuts ------------------------
-
-
-def glued_quandles_uncut(a: Q.Quandle, b: Q.Quandle) -> Iterator[Q.Quandle]:
-    """``quandle.glued_quandles`` with full candidate lists: every labeled
-    gluing, one per relabeling of the blocks by Aut(a) x Aut(b) up to its
-    stabilizer."""
-    na = a.n
-    aut_a = Q.automorphisms(a)
-    aut_b = [tuple(v + na for v in g) for g in Q.automorphisms(b)]
-    candidates = [[a.row(x) + g for g in aut_b] for x in a.elements()]
-    candidates += [[g + tuple(v + na for v in b.row(y)) for g in aut_a] for y in b.elements()]
-    for rows in Q._row_search(candidates):
-        yield Q.Quandle(rows, check=False)
 
 
 # -- acceptance criterion 7 and the closure oracle: characteristic sequences ---

@@ -17,7 +17,9 @@ Every name a ``src`` module imports is used in that module, unless
 ``bench/layers.py`` patches it there by name.
 
 Code that only the tests run is deleted, or moved into ``tests/oracles.py``
-when tests compare the library against it.
+when tests compare the library against it.  Every top-level definition there
+is read by name in some ``tests/test_*.py``, so an oracle that loses its last
+test is deleted too.
 """
 
 import ast
@@ -212,6 +214,53 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
     dead = {"lib.dead", "lib.Box.unused", "lib.Box.shadow", "lib.Ghost"}
     assert set(unreached(package, [])) == dead | {"lib.benched"}
     assert set(unreached(package, [bench])) == dead
+
+
+def unread_oracles(oracles: Path, tests: list[Path]) -> set[str]:
+    """Top-level definitions of ``oracles`` that no file of ``tests`` reads
+    as a name or an attribute; an import alone does not count."""
+    defined = {node.name for node in ast.parse(oracles.read_text()).body if isinstance(node, _DEFS)}
+    read = {word for path in tests for word, _ in _identifiers([ast.parse(path.read_text())])}
+    return defined - read
+
+
+def test_every_oracle_is_read_by_a_test():
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    assert unread_oracles(ROOT / "tests" / "oracles.py", tests) == set()
+
+
+def test_unread_oracles_sees_names_attributes_and_bare_imports(tmp_path):
+    (tmp_path / "oracles.py").write_text(textwrap.dedent(
+        """
+        def called():
+            return only_by_oracles()
+
+        def only_by_oracles():
+            pass
+
+        def by_attribute():
+            pass
+
+        def imported_only():
+            pass
+
+        class Model:
+            pass
+        """
+    ))
+    (tmp_path / "test_x.py").write_text(textwrap.dedent(
+        """
+        import oracles
+        from oracles import Model, called, imported_only
+
+        def test_x():
+            assert called() is oracles.by_attribute() is Model
+        """
+    ))
+    assert unread_oracles(tmp_path / "oracles.py", [tmp_path / "test_x.py"]) == {
+        "only_by_oracles",
+        "imported_only",
+    }
 
 
 def unused_imports(package: Path) -> set[str]:

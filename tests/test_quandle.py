@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
-from qnichols.errors import InputError
-from qnichols.supportcalc import census_splits, two_orbit_candidates
+from qnichols.errors import InputError, ResourceCapError
+from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits, two_orbit_candidates
 
-from oracles import census_classes, glued_quandles_uncut
+from oracles import census_classes
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -256,30 +256,6 @@ def test_canonical_table_invariant_under_relabeling(data):
     assert Q.isomorphic(q, Q.Quandle(Q.canonical_table(q))) is not None
 
 
-def _conjugacy_class(g: tuple, by) -> set:
-    """{h g h^{-1} : h in by}, as one-line maps."""
-    out = set()
-    for h in by:
-        h_inv = sorted(range(1, len(h) + 1), key=lambda i: h[i - 1])
-        out.add(tuple(h[g[h_inv[i] - 1] - 1] for i in range(len(g))))
-    return out
-
-
-def _cut_weights(a: Q.Quandle, b: Q.Quandle, cut) -> int:
-    """How many uncut gluings the cut gluings stand for: each counts the size
-    of its row-1 b-part's class under Aut(b) times the size of its
-    row-(|a|+1) a-part's class under the stabilizer of 1 in Aut(a)."""
-    na = a.n
-    aut_b = Q.automorphisms(b)
-    stab = [h for h in Q.automorphisms(a) if h[0] == 1]
-    total = 0
-    for q in cut:
-        alpha = tuple(v - na for v in q.row(1)[na:])
-        beta = q.row(na + 1)[:na]
-        total += len(_conjugacy_class(alpha, aut_b)) * len(_conjugacy_class(beta, stab))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _splits(n: int) -> tuple:
     return tuple(census_splits(n)[n])
@@ -293,55 +269,68 @@ def _census_tables(quandles) -> set:
     }
 
 
-@pytest.mark.parametrize("n", range(2, 8))
-def test_glued_quandles_cut_matches_uncut_search(n):
-    # oracle: the full candidate lists; each cut gluing stands for its
-    # orbit-stabilizer weight of uncut ones, and the census keeps the same
-    # classes
-    for a, b in _splits(n):
-        cut = list(Q.glued_quandles(a, b))
-        uncut = list(glued_quandles_uncut(a, b))
-        assert _cut_weights(a, b, cut) == len(uncut), (a, b)
-        assert _census_tables(cut) == _census_tables(uncut), (a, b)
+def _trivial(q: Q.Quandle) -> bool:
+    return Q.is_commutative_subset(q, q.elements())
 
 
 def test_census_split_counts():
-    assert [len(_splits(n)) for n in range(2, 8)] == [1, 0, 2, 3, 9, 12]
+    # the pairs of two trivial pieces of size >= 2 are written down as
+    # cycle_pair, not glued
+    assert [len(_splits(n)) for n in range(2, 8)] == [1, 0, 1, 2, 7, 10]
+
+
+def test_census_splits_hold_no_two_trivial_pieces():
+    for splits in census_splits(MAX_CENSUS_SIZE).values():
+        assert not any(a.n > 1 and _trivial(a) and _trivial(b) for a, b in splits)
+
+
+def test_census_splits_cap_raises_before_any_work(monkeypatch):
+    def fail(_):
+        raise AssertionError("census work before the cap check")
+
+    monkeypatch.setattr("qnichols.supportcalc.enumerate_quandles", fail)
+    with pytest.raises(ResourceCapError, match=f"census bounded at size {MAX_CENSUS_SIZE}"):
+        census_splits(MAX_CENSUS_SIZE + 1)
+
+
+def test_cycle_pair_is_a_two_orbit_crossed_set():
+    for k in range(2, 9):
+        for l in range(k, 9):
+            q = Q.cycle_pair(k, l)
+            assert Q.is_quandle(q.table) and Q.is_crossed_set(q), (k, l)
+            assert Q.inner_orbits(q) == [tuple(range(1, k + 1)), tuple(range(k + 1, k + l + 1))]
+
+
+@pytest.mark.parametrize("k,l", [(k, l) for k in range(2, 8) for l in range(k, 8) if k + l <= 7])
+def test_cycle_pair_is_the_one_gluing_of_two_trivial_pieces(k, l):
+    # oracle: the full row search over trivial(k) beside trivial(l)
+    glued = Q.glued_quandles(Q.catalog(f"trivial({k})"), Q.catalog(f"trivial({l})"))
+    assert _census_tables(glued) == {Q.canonical_table(Q.cycle_pair(k, l))}
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_glued_quandles_orbits_brute_force(n):
-    # G = Aut(A) x Aut(B) relabels the uncut gluings among themselves; the
-    # orbit-stabilizer sum over G-orbits is the uncut count, and every
-    # orbit meets the cut output
+    # G = Aut(A) x Aut(B) relabels the gluings among themselves, and the
+    # orbit-stabilizer sum over G-orbits is their count
     for a, b in _splits(n):
         na = a.n
         group = [
             h + tuple(v + na for v in g)
             for h, g in product(Q.automorphisms(a), Q.automorphisms(b))
         ]
-        uncut = {q.table for q in glued_quandles_uncut(a, b)}
-        cut = {q.table for q in Q.glued_quandles(a, b)}
+        glued = {q.table for q in Q.glued_quandles(a, b)}
         seen: set = set()
         total = 0
-        for table in sorted(uncut):
+        for table in sorted(glued):
             if table in seen:
                 continue
             q = Q.Quandle(table, check=False)
             images = [_relabel(q, f) for f in group]
             orbit = set(images)
-            assert orbit <= uncut, (a, b, table)
-            assert orbit & cut, (a, b, table)
+            assert orbit <= glued, (a, b, table)
             seen |= orbit
             total += len(group) // images.count(table)
-        assert total == len(uncut), (a, b)
-
-
-@pytest.mark.slow
-def test_glued_quandles_cut_weights_n8():
-    for a, b in _splits(8):
-        uncut_count = sum(1 for _ in glued_quandles_uncut(a, b))
-        assert _cut_weights(a, b, Q.glued_quandles(a, b)) == uncut_count, (a, b)
+        assert total == len(glued), (a, b)
 
 
 def _brute_embeddings(q: Q.Quandle, op, candidates) -> list[tuple]:
