@@ -149,18 +149,12 @@ class CycNum:
         a, b = self._pair(_coerce(other))
         return CycNum._reduced(a.N, tuple([_rat(x + y) for x, y in zip(a.coeffs, b.coeffs)]))
 
-    def __radd__(self, other) -> "CycNum":
-        return self.__add__(other)
-
     def __neg__(self) -> "CycNum":
         return CycNum._reduced(self.N, tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other) -> "CycNum":
         a, b = self._pair(_coerce(other))
         return CycNum._reduced(a.N, tuple([_rat(x - y) for x, y in zip(a.coeffs, b.coeffs)]))
-
-    def __rsub__(self, other) -> "CycNum":
-        return (-self).__add__(other)
 
     def __mul__(self, other) -> "CycNum":
         other = _coerce(other)
@@ -181,9 +175,6 @@ class CycNum:
                         prod[i + j] += x * y
         return CycNum(a.N, prod)
 
-    def __rmul__(self, other) -> "CycNum":
-        return self.__mul__(other)
-
     def inv(self) -> "CycNum":
         """Multiplicative inverse via extended Euclid against Phi_N, over Fractions."""
         if self.is_zero():
@@ -200,9 +191,6 @@ class CycNum:
             raise InvariantViolationError("element is a zero divisor; conductor arithmetic broken")
         scale = 1 / lead[0]
         return CycNum(self.N, [c * scale for c in s0])
-
-    def __truediv__(self, other) -> "CycNum":
-        return self * _coerce(other).inv()
 
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:

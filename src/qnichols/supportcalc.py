@@ -268,7 +268,8 @@ def nc_w_orbit_decomposition_ok(ctx: TwoOrbitContext) -> Optional[bool]:
 
 def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
     """Evaluate the six necessary conclusions forced on non-commuting
-    two-orbit contexts by vanishing of the second adjoint power.
+    two-orbit contexts by vanishing of the second adjoint power: the paper's
+    six items, of which ``RULES`` checks four (see the note there).
 
     Returns {item: 'pass' | 'fail'}; for commuting contexts returns
     {'inapplicable': ...}.  The group-identity half of the fifth item is not
@@ -385,12 +386,17 @@ def _w_parts(ctx: TwoOrbitContext) -> dict:
     return {"orbit_w_parts": [sorted(labels[k - 1] for k in o) for o in inner_orbits(sub)]}
 
 
-def _certificate_rule(find: Callable[[TwoOrbitContext], Optional[DegreeTuple]]) -> Rule:
-    return lambda ctx: None if (t := find(ctx)) is None else {"tuple": list(t)}
-
-
 #: Each branch's rejection battery in the paper's order, as (rule id, check):
 #: check(ctx) is the rule's witness when the rule rejects ctx, else None.
+#: Three non-commuting checks of the paper never reject here, so they are left out:
+#: (a) orbits_distinct: a TwoOrbitContext's roles are disjoint and nonempty.
+#: (b) squares_fix_across: w_translations_restrict_to_transpositions runs first, and
+#:     once each h in W swaps one pair of V and fixes the rest, h > (h > g) = g.
+#: (c) the adV2 certificate: past orbit_v_commutative and the transposition item,
+#:     certified level one is {(p1, s) : s moves p1}.  Inserting p at slot 1 needs
+#:     p1 to move p, which a commutative V forbids; at slot 2 it needs s to move p
+#:     with p not in {p1, s^-1 > p1}, but s moves only p1 and s > p1 = s^-1 > p1,
+#:     since s swaps them.
 RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
     "comm": (
         ("comm-size-suppV-m1", _size_rule("v", 1)),
@@ -401,12 +407,16 @@ RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
         *(
             (f"nc-battery:{item}", _fails(holds, nc_necessary_conditions))
             for item, holds in NC_ITEMS.items()
+            if item not in ("orbits_distinct", "squares_fix_across")  # (a), (b)
         ),
         ("nc-decomposable-Oh-structure", _fails(nc_w_orbit_decomposition_ok, _w_parts)),
         # no commutative-W rule: past the rules above a commutative W has |W| <= 2 and
         # |V| <= |W| + 1, and the census has no such context but Z_2^{2,2}'s role splits
-        ("nc-adV2-certificate", _certificate_rule(find_adv2_certificate)),
-        ("nc-adW4-certificate", _certificate_rule(find_adw4_certificate_nc)),
+        # no adV2 certificate rule: (c)
+        (
+            "nc-adW4-certificate",
+            lambda ctx: None if (t := find_adw4_certificate_nc(ctx)) is None else {"tuple": list(t)},
+        ),
         # no V size rule: orbit_v_commutative makes size_bound_check(ctx, 1) None or False
         ("nc-size-suppW-m3", _size_rule("w", 3)),
     ),

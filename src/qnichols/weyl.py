@@ -61,9 +61,6 @@ class CharSeq:
         if not is_characteristic(self.entries):
             raise InputError(f"not a characteristic sequence: {self.entries}")
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def rotations(self) -> list[tuple[int, ...]]:
         return _rotations(self.entries)
 

@@ -14,7 +14,7 @@ from qnichols import quandle as Q
 from qnichols.cyclotomic import CycMatrix, CycNum
 from qnichols.envgroup import FinGroup
 from qnichols.errors import InputError
-from qnichols.supportcalc import DegreeTuple, TwoOrbitContext
+from qnichols.supportcalc import MAX_CENSUS_SIZE, DegreeTuple, TwoOrbitContext, two_orbit_candidates
 from qnichols.weyl import ID2, NEG_ID2, Mat2, eta, mat_mul
 from qnichols.ydmod import YDModule
 
@@ -163,6 +163,14 @@ def census_classes(n: int) -> tuple[Q.Quandle, ...]:
     """One quandle per isomorphism class of size n, from the labeled census;
     cached, since several tests read it and n = 6 is the slowest census size."""
     return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
+
+
+@lru_cache(maxsize=None)
+def two_orbit_census() -> tuple[Q.Quandle, ...]:
+    """``two_orbit_candidates`` to ``MAX_CENSUS_SIZE``, built once per test
+    session; a test that wants the classes up to a smaller size filters by
+    ``q.n``, since the census lists them by size first."""
+    return tuple(two_orbit_candidates(MAX_CENSUS_SIZE))
 
 
 # -- acceptance criterion 7 and the closure oracle: characteristic sequences ---

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
 from qnichols.errors import InputError, ResourceCapError
-from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits, two_orbit_candidates
+from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits
 
-from oracles import census_classes
+from oracles import census_classes, two_orbit_census
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -228,17 +228,12 @@ def _relabel(q: Q.Quandle, f) -> tuple:
     return tuple(map(tuple, table))
 
 
-@lru_cache(maxsize=None)
-def _two_orbit_census(n_max: int) -> tuple:
-    return tuple(two_orbit_candidates(n_max))
-
-
 def test_canonical_table_is_brute_force_minimum():
     from itertools import permutations
 
-    census = [q for n in range(1, 6) for q in Q.iso_class_representatives(Q.enumerate_quandles(n))]
+    census = [q for n in range(1, 6) for q in census_classes(n)]
     # the glued two-orbit classes of size 6, over all of S_6
-    census += [q for q in _two_orbit_census(7) if q.n == 6]
+    census += [q for q in two_orbit_census() if q.n == 6]
     for q in census + [q for q in CATALOG if q.n <= 5]:
         brute = min(_relabel(q, f) for f in permutations(q.elements()))
         assert Q.canonical_table(q) == brute, q
@@ -248,7 +243,7 @@ def test_canonical_table_is_brute_force_minimum():
 @given(st.data())
 def test_canonical_table_invariant_under_relabeling(data):
     # the census deduplicates the glued quandles of sizes 6-8 by this table
-    pool = CATALOG + [Q.affine_quandle(7, 3)] + list(_two_orbit_census(7))
+    pool = CATALOG + [Q.affine_quandle(7, 3)] + [q for q in two_orbit_census() if q.n <= 7]
     q = data.draw(st.sampled_from(pool))
     f = data.draw(st.permutations(list(q.elements())))
     relabeled = Q.Quandle(_relabel(q, f))

@@ -9,7 +9,7 @@ from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
 from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 
-from oracles import census_classes, conj_word, phi_support_expand
+from oracles import census_classes, conj_word, phi_support_expand, two_orbit_census
 
 
 def adjoin_fixed_point(q: Quandle) -> Quandle:
@@ -34,6 +34,17 @@ def singleton_ctx(name: str, acting_side: str = "w") -> S.TwoOrbitContext:
     if acting_side == "w":
         return S.TwoOrbitContext(q, point, orbit)
     return S.TwoOrbitContext(q, orbit, point)
+
+
+def dihedral_with_swapped_pair(p: int) -> Quandle:
+    """W = {1..p} with i > j = 2i - j mod p, the dihedral quandle Aff(p, p - 1),
+    beside V = {p + 1, p + 2}: p + 1 acts on W by j -> j + 1 and p + 2 by
+    j -> j - 1, cyclically; every w swaps p + 1 and p + 2, which fix each
+    other.  Z_3^{3,2} at p = 3."""
+    table = [[(2 * i - j) % p + 1 for j in range(p)] + [p + 2, p + 1] for i in range(p)]
+    table.append([(j + 1) % p + 1 for j in range(p)] + [p + 1, p + 2])
+    table.append([(j - 1) % p + 1 for j in range(p)] + [p + 1, p + 2])
+    return Quandle(table)
 
 
 def affine54_extension() -> Quandle:
@@ -352,15 +363,11 @@ _RULE_PINS = [
     ),
 ]
 
-# Rule ids that no context of that search reaches: the roles are disjoint, so
-# orbits_distinct never fails; nc-size-suppW-m3 needs |W| >= 7 beside |V| >= 2,
-# so size >= 9.
-_UNREACHED = {
-    "nc-battery:orbits_distinct",
-    "nc-battery:squares_fix_across",
-    "nc-adV2-certificate",
-    "nc-size-suppW-m3",
-}
+# The rule id that no context of that search reaches: nc-size-suppW-m3 needs
+# |W| >= 7 beside |V| >= 2, so size >= 9, and on the one family known to meet
+# its premises the adW4 certificate rejects first
+# (test_evaluate_candidate_past_the_census_size).
+_UNREACHED = {"nc-size-suppW-m3"}
 
 
 def _evaluate(table, ov, ow) -> tuple:
@@ -379,6 +386,17 @@ def test_rule_pins_cover_every_rule_id():
 )
 def test_evaluate_candidate_first_rejecting_rule_pinned(table, ov, ow, rule_id, witness):
     assert _evaluate(table, ov, ow) == (rule_id, witness)
+
+
+def test_evaluate_candidate_past_the_census_size():
+    assert Q.isomorphic(dihedral_with_swapped_pair(3), catalog("Z_3^{3,2}")) is not None
+    q = dihedral_with_swapped_pair(7)
+    assert q.n > S.MAX_CENSUS_SIZE
+    ov, ow = (8, 9), tuple(range(1, 8))
+    # |W| = 7 exceeds the bound 6 of nc-size-suppW-m3, but adW4 rejects first
+    size_rule = dict(S.RULES["nc"])["nc-size-suppW-m3"]
+    assert size_rule(S.TwoOrbitContext(q, ov, ow)) == {"orbit_w_size": 7, "bound": 6}
+    assert _evaluate(q.table, ov, ow) == ("nc-adW4-certificate", {"tuple": [1, 2, 5, 3, 9]})
 
 
 def test_evaluate_candidate_survivors():
@@ -429,6 +447,37 @@ def test_v_size_rule_is_shadowed_by_the_battery():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize(
+    "source, counts",
+    [("classes-to-6", (676, 69)), ("census-to-8", (50, 12))],
+    ids=["classes-to-6", "census-to-8"],
+)
+def test_nc_checks_left_out_of_the_rules_never_reject(source, counts):
+    # The proofs beside RULES: (a) the roles are disjoint, so orbits_distinct
+    # holds; wherever orbit_v_commutative and
+    # w_translations_restrict_to_transpositions pass, (b) squares_fix_across
+    # holds and (c) no level-two tuple is certified.
+    if source == "classes-to-6":
+        quandles = [q for n in range(1, 7) for q in census_classes(n)]
+    else:
+        quandles = two_orbit_census()
+    items = S.NC_ITEMS
+    premises = [items["orbit_v_commutative"], items["w_translations_restrict_to_transpositions"]]
+    contexts = passing = 0
+    for q in quandles:
+        for ctx in _role_splits(q):
+            if ctx.commuting:
+                continue
+            contexts += 1
+            assert items["orbits_distinct"](ctx), ctx
+            if all(holds(ctx) for holds in premises):
+                passing += 1
+                assert items["squares_fix_across"](ctx), ctx
+                assert S.find_adv2_certificate(ctx) is None, ctx
+    assert (contexts, passing) == counts
+
+
+@pytest.mark.slow
 def test_commutative_w_is_settled_by_the_rules_before_the_certificates():
     # A commutative W is a trivial subquandle.  If |W| >= 2 the decomposition
     # rule leaves exactly two parts, so |W| = 2; W's translations are
@@ -438,7 +487,7 @@ def test_commutative_w_is_settled_by_the_rules_before_the_certificates():
     rules = [rule_id for rule_id, _ in S.RULES["nc"]]
     earlier = S.RULES["nc"][: rules.index("nc-decomposable-Oh-structure") + 1]
     passing = commutative_w = 0
-    for q in S.two_orbit_candidates(8):
+    for q in two_orbit_census():
         for ctx in _role_splits(q):
             if ctx.commuting or any(check(ctx) is not None for _, check in earlier):
                 continue
