@@ -377,18 +377,6 @@ _CATALOG_CYCLES = {
     "Z_4^{4,2}": ["(24)(56)", "(13)(56)", "(24)(56)", "(13)(56)", "(1234)", "(1432)"],
 }
 
-#: Indecomposable quandles of size <= 6, keyed by catalog name.
-INDECOMPOSABLE_NAMES = (
-    "trivial(1)",
-    "(12)^S3",
-    "(123)^A4",
-    "Aff(5,2)",
-    "Aff(5,3)",
-    "Aff(5,4)",
-    "(12)^S4",
-    "(1234)^S4",
-)
-
 #: The five decomposable quandles on two orbits central to the classification.
 Z_QUANDLE_NAMES = ("Z_T^{4,1}", "Z_2^{2,2}", "Z_3^{3,1}", "Z_3^{3,2}", "Z_4^{4,2}")
 
@@ -434,27 +422,6 @@ def match_catalog(q: Quandle) -> Optional[str]:
         if len(cycles) == q.n and isomorphic(q, catalog(name)) is not None:
             return name
     return None
-
-
-def affine_quandle(n: int, a: int) -> Quandle:
-    """Aff(n, a) on Z_n, labeled 1..n: x > y = a y + (1 - a) x (mod n)."""
-    return Quandle(
-        [[(a * y + (1 - a) * x) % n + 1 for y in range(n)] for x in range(n)]
-    )
-
-
-def connected_quandles(n: int) -> list[Quandle]:
-    """One quandle from each isomorphism class of connected quandles of size n.
-
-    For n <= 6 these are the catalog indecomposables; for n = 7 they are
-    Aff(7, a), a = 2..6, since every connected quandle of prime order is
-    affine (Etingof-Soloviev-Guralnick 2001)."""
-    if not 1 <= n <= 7:
-        raise InputError("connected quandles are known here for sizes 1..7 only")
-    if n == 7:
-        return [affine_quandle(7, a) for a in range(2, 7)]
-    pieces = (catalog(name) for name in INDECOMPOSABLE_NAMES)
-    return [q for q in pieces if q.n == n]
 
 
 # -- exhaustive generation ----------------------------------------------------
@@ -545,11 +512,29 @@ def _row_search(candidates: Sequence[Sequence[tuple[int, ...]]]) -> Iterator[tup
     yield from search()
 
 
-def enumerate_quandles(n: int) -> Iterator[Quandle]:
-    """Yield every labeled quandle on {1..n}, in lexicographic order of tables."""
+def fixed_point_types(n: int) -> list[tuple[int, ...]]:
+    """The cycle types of the permutations of {1..n} with a fixed point, sorted:
+    the types a translation of a quandle of size n can have."""
+    return sorted({perm_cycle_type(p) for p in _perms_fixing(n, 1)})
+
+
+def enumerate_quandles(n: int, cycle_type: Sequence[int]) -> Iterator[Quandle]:
+    """Yield, in lexicographic order of tables, every labeled quandle on {1..n}
+    whose translations all have the given cycle type and whose row 1 is the
+    least permutation of that type fixing 1.
+
+    Every quandle with a transitive automorphism group is isomorphic to one of
+    these: phi_{f(x)} = f phi_x f^-1 for an automorphism f, so every
+    translation has the type of phi_1, and a relabeling fixing 1 conjugates
+    phi_1 to any permutation of that type fixing 1."""
     if n < 1:
         raise InputError("size must be positive")
-    candidates = [_perms_fixing(n, i) for i in range(1, n + 1)]
+    lengths = tuple(sorted(cycle_type))
+    candidates = [
+        [p for p in _perms_fixing(n, i) if perm_cycle_type(p) == lengths]
+        for i in range(1, n + 1)
+    ]
+    candidates[0] = candidates[0][:1]
     for rows in _row_search(candidates):
         yield Quandle(rows, check=False)
 
@@ -706,9 +691,10 @@ def cycle_pair(k: int, l: int) -> Quandle:
     return Quandle([a_row] * k + [b_row] * l)
 
 
-def iso_class_representatives(quandles: Iterable[Quandle]) -> list[Quandle]:
+def iso_class_representatives(quandles: Sequence[Quandle]) -> list[Quandle]:
     """Group labeled quandles into isomorphism classes by canonical table;
-    first-seen representatives, in the order first seen."""
+    first-seen representatives, in the order first seen.  A sequence, not a
+    generator: ``bench/layers.py`` wraps this call and takes ``len`` of it."""
     reps: dict[tuple, Quandle] = {}
     for q in quandles:
         reps.setdefault(canonical_table(q), q)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
@@ -23,11 +23,10 @@ from .quandle import (
     Z_QUANDLE_NAMES,
     automorphisms,
     canonical_table,
-    catalog,
-    connected_quandles,
     cycle_pair,
     embeddings,
     enumerate_quandles,
+    fixed_point_types,
     glued_quandles,
     inner_orbits,
     is_commutative_subset,
@@ -285,41 +284,48 @@ def nc_necessary_conditions(ctx: TwoOrbitContext) -> dict[str, str]:
 MAX_CENSUS_SIZE = 8
 
 
+def homogeneous_pieces(k: int) -> list[Quandle]:
+    """One quandle per isomorphism class of crossed sets of size k with a
+    transitive automorphism group: the crossed sets among
+    ``enumerate_quandles(k, lengths)`` for every cycle type with a fixed point,
+    reduced by canonical table."""
+    crossed = [
+        q
+        for lengths in fixed_point_types(k)
+        for q in enumerate_quandles(k, lengths)
+        if is_crossed_set(q)
+    ]
+    return [
+        q
+        for q in iso_class_representatives(crossed)
+        if {g[0] for g in automorphisms(q)} == set(q.elements())
+    ]
+
+
 def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:
     """The block pairs (A, B) that ``two_orbit_candidates`` glues, keyed by
     size n = |A| + |B| for n = 2..n_max, |A| <= |B|.
 
     An inner orbit is a crossed-set subquandle on which Inn(X) acts
-    transitively by automorphisms, so it is homogeneous.  When |A| = 1 the
-    crossed-set law forces the point to act trivially on B, so B is one of
-    the connected quandles.  Otherwise both pieces have size <= n - 2 and
-    come from the labeled census of that size, one per isomorphism class,
-    except that two trivial pieces are left out: ``cycle_pair`` is their one
-    class.
+    transitively by automorphisms, so it is one of the ``homogeneous_pieces``.
+    When |A| = 1 the crossed-set law forces the point to act trivially on B,
+    so B is a piece with one inner orbit.  Otherwise both pieces have size
+    <= n - 2, except that two trivial pieces are left out: ``cycle_pair`` is
+    their one class.  Each size's pieces are built once per call.
     """
     if n_max > MAX_CENSUS_SIZE:
         raise ResourceCapError(f"census bounded at size {MAX_CENSUS_SIZE}")
-    pieces: dict[int, list[Quandle]] = {}
-
-    def homogeneous_pieces(k: int) -> list[Quandle]:
-        if k not in pieces:
-            crossed = [q for q in enumerate_quandles(k) if is_crossed_set(q)]
-            pieces[k] = [
-                q
-                for q in iso_class_representatives(crossed)
-                if {g[0] for g in automorphisms(q)} == set(q.elements())
-            ]
-        return pieces[k]
+    pieces_of = cache(homogeneous_pieces)
 
     def trivial(q: Quandle) -> bool:
         return is_commutative_subset(q, q.elements())
 
-    point = catalog("trivial(1)")
+    (point,) = pieces_of(1)
     out: dict[int, list[tuple[Quandle, Quandle]]] = {}
     for n in range(2, n_max + 1):
-        splits = [(point, b) for b in connected_quandles(n - 1)]
+        splits = [(point, b) for b in pieces_of(n - 1) if len(inner_orbits(b)) == 1]
         for k in range(2, n // 2 + 1):
-            small, large = homogeneous_pieces(k), homogeneous_pieces(n - k)
+            small, large = pieces_of(k), pieces_of(n - k)
             for i, a in enumerate(small):
                 splits += [
                     (a, b)

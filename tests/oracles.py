@@ -14,7 +14,13 @@ from qnichols import quandle as Q
 from qnichols.cyclotomic import CycMatrix, CycNum
 from qnichols.envgroup import FinGroup
 from qnichols.errors import InputError
-from qnichols.supportcalc import MAX_CENSUS_SIZE, DegreeTuple, TwoOrbitContext, two_orbit_candidates
+from qnichols.supportcalc import (
+    MAX_CENSUS_SIZE,
+    DegreeTuple,
+    TwoOrbitContext,
+    census_splits,
+    two_orbit_candidates,
+)
 from qnichols.weyl import ID2, NEG_ID2, Mat2, eta, mat_mul
 from qnichols.ydmod import YDModule
 
@@ -155,14 +161,51 @@ def extend_character_all_pairs(
     return values
 
 
-# -- the labeled census up to isomorphism --------------------------------------
+# -- the labeled census and the known connected quandles ----------------------
+
+#: Indecomposable quandles of size <= 6, keyed by catalog name.
+INDECOMPOSABLE_NAMES = (
+    "trivial(1)",
+    "(12)^S3",
+    "(123)^A4",
+    "Aff(5,2)",
+    "Aff(5,3)",
+    "Aff(5,4)",
+    "(12)^S4",
+    "(1234)^S4",
+)
+
+
+def affine_quandle(n: int, a: int) -> Q.Quandle:
+    """Aff(n, a) on Z_n, labeled 1..n: x > y = a y + (1 - a) x (mod n).  For n
+    prime and a = 2..n-1 these are the connected quandles of order n, since
+    every connected quandle of prime order is affine (Etingof, Soloviev and
+    Guralnick 2001)."""
+    return Q.Quandle(
+        [[(a * y + (1 - a) * x) % n + 1 for y in range(n)] for x in range(n)]
+    )
+
+
+@lru_cache(maxsize=None)
+def labeled_quandles(n: int) -> tuple[Q.Quandle, ...]:
+    """Every labeled quandle on {1..n}, in lexicographic order of tables: the
+    row search over every permutation fixing each row's index.  Cached, since
+    several tests read order 6, the slowest."""
+    candidates = [Q._perms_fixing(n, i) for i in range(1, n + 1)]
+    return tuple(Q.Quandle(rows, check=False) for rows in Q._row_search(candidates))
 
 
 @lru_cache(maxsize=None)
 def census_classes(n: int) -> tuple[Q.Quandle, ...]:
-    """One quandle per isomorphism class of size n, from the labeled census;
-    cached, since several tests read it and n = 6 is the slowest census size."""
-    return tuple(Q.iso_class_representatives(Q.enumerate_quandles(n)))
+    """One quandle per isomorphism class of size n, from the labeled census."""
+    return tuple(Q.iso_class_representatives(labeled_quandles(n)))
+
+
+@lru_cache(maxsize=None)
+def max_census_splits() -> dict[int, list[tuple[Q.Quandle, Q.Quandle]]]:
+    """``census_splits`` to ``MAX_CENSUS_SIZE``, built once per test session;
+    its entry at n equals ``census_splits(n)[n]``."""
+    return census_splits(MAX_CENSUS_SIZE)
 
 
 @lru_cache(maxsize=None)

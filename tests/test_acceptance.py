@@ -11,13 +11,17 @@ from qnichols import supportcalc as S
 from qnichols import weyl as W
 from qnichols import ydmod as Y
 from qnichols.quandle import (
-    INDECOMPOSABLE_NAMES,
     Quandle,
     catalog,
     inner_orbits,
 )
 
-from oracles import enumerate_charseqs_dfs, factorization_identity_holds, phi_support_expand
+from oracles import (
+    INDECOMPOSABLE_NAMES,
+    enumerate_charseqs_dfs,
+    factorization_identity_holds,
+    phi_support_expand,
+)
 
 ONE = C.one()
 NEG = C.CycNum.rational(-1)

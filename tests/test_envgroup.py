@@ -5,16 +5,14 @@ from qnichols import envgroup as E
 from qnichols import ydmod as Y
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 from qnichols.quandle import (
-    INDECOMPOSABLE_NAMES,
     Z_QUANDLE_NAMES,
     catalog,
     catalog_names,
-    enumerate_quandles,
     inner_orbits,
 )
 from qnichols.supportcalc import two_orbit_candidates
 
-from oracles import enveloping_presentation_cyclic
+from oracles import INDECOMPOSABLE_NAMES, enveloping_presentation_cyclic, labeled_quandles
 
 
 # -- presentations -------------------------------------------------------------
@@ -43,7 +41,7 @@ def test_presentation_z222_matches_affine_rule():
     "n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)]
 )
 def test_presentation_matches_the_cyclic_search_on_labeled_quandles(n):
-    for q in enumerate_quandles(n):
+    for q in labeled_quandles(n):
         assert E.enveloping_presentation(q).relators == enveloping_presentation_cyclic(q)
 
 

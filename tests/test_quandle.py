@@ -1,4 +1,3 @@
-from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -6,9 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
 from qnichols.errors import InputError, ResourceCapError
-from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits
+from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits, homogeneous_pieces
 
-from oracles import census_classes, two_orbit_census
+from oracles import (
+    INDECOMPOSABLE_NAMES,
+    affine_quandle,
+    census_classes,
+    labeled_quandles,
+    max_census_splits,
+    two_orbit_census,
+)
 
 
 CATALOG = [Q.catalog(name) for name in Q.catalog_names() if name != "trivial(n)"]
@@ -172,16 +178,14 @@ def test_subquandle_orbits_closed(n, data):
 
 def test_census_small_counts():
     # labeled counts for n <= 4, then iso classes against the known census
-    assert sum(1 for _ in Q.enumerate_quandles(1)) == 1
-    assert sum(1 for _ in Q.enumerate_quandles(2)) == 1
-    assert sum(1 for _ in Q.enumerate_quandles(3)) == 5
-    counts = [len(Q.iso_class_representatives(Q.enumerate_quandles(n))) for n in (3, 4, 5)]
+    assert [len(labeled_quandles(n)) for n in (1, 2, 3)] == [1, 1, 5]
+    counts = [len(census_classes(n)) for n in (3, 4, 5)]
     assert counts == [3, 7, 22]
 
 
 def test_census_indecomposable_matches_catalog_upto5():
     for n, expected in ((3, {"(12)^S3"}), (4, {"(123)^A4"}), (5, {"Aff(5,2)", "Aff(5,3)", "Aff(5,4)"})):
-        reps = Q.iso_class_representatives(Q.enumerate_quandles(n))
+        reps = census_classes(n)
         ind = {Q.match_catalog(q) for q in reps if len(Q.inner_orbits(q)) == 1}
         assert ind == expected
 
@@ -204,7 +208,7 @@ def test_census_indecomposable_matches_catalog_n6():
 
 
 def test_size3_crossed_sets_are_trivial_or_s3():
-    for q in Q.iso_class_representatives(Q.enumerate_quandles(3)):
+    for q in census_classes(3):
         if not Q.is_crossed_set(q):
             continue
         if Q.is_commutative_subset(q, q.elements()):
@@ -243,7 +247,7 @@ def test_canonical_table_is_brute_force_minimum():
 @given(st.data())
 def test_canonical_table_invariant_under_relabeling(data):
     # the census deduplicates the glued quandles of sizes 6-8 by this table
-    pool = CATALOG + [Q.affine_quandle(7, 3)] + [q for q in two_orbit_census() if q.n <= 7]
+    pool = CATALOG + [affine_quandle(7, 3)] + [q for q in two_orbit_census() if q.n <= 7]
     q = data.draw(st.sampled_from(pool))
     f = data.draw(st.permutations(list(q.elements())))
     relabeled = Q.Quandle(_relabel(q, f))
@@ -251,9 +255,8 @@ def test_canonical_table_invariant_under_relabeling(data):
     assert Q.isomorphic(q, Q.Quandle(Q.canonical_table(q))) is not None
 
 
-@lru_cache(maxsize=None)
-def _splits(n: int) -> tuple:
-    return tuple(census_splits(n)[n])
+def _splits(n: int) -> list:
+    return max_census_splits()[n]
 
 
 def _census_tables(quandles) -> set:
@@ -275,12 +278,12 @@ def test_census_split_counts():
 
 
 def test_census_splits_hold_no_two_trivial_pieces():
-    for splits in census_splits(MAX_CENSUS_SIZE).values():
+    for splits in max_census_splits().values():
         assert not any(a.n > 1 and _trivial(a) and _trivial(b) for a, b in splits)
 
 
 def test_census_splits_cap_raises_before_any_work(monkeypatch):
-    def fail(_):
+    def fail(*_):
         raise AssertionError("census work before the cap check")
 
     monkeypatch.setattr("qnichols.supportcalc.enumerate_quandles", fail)
@@ -410,17 +413,76 @@ def test_automorphisms_match_brute_force_on_catalog():
         assert Q.automorphisms(q) == brute
 
 
+def _least_of_type(n: int, lengths: tuple) -> tuple:
+    from itertools import permutations
+
+    return min(
+        p
+        for p in permutations(range(1, n + 1))
+        if p[0] == 1 and Q.perm_cycle_type(p) == lengths
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_quandles_is_the_labeled_census_of_one_cycle_type(n):
+    # oracle: the full labeled census, filtered to every row of type lengths
+    # with row 1 the least permutation of that type fixing 1
+    types = Q.fixed_point_types(n)
+    assert types == sorted({Q.perm_cycle_type(q.row(1)) for q in labeled_quandles(n)})
+    for lengths in types:
+        least = _least_of_type(n, lengths)
+        want = [
+            q
+            for q in labeled_quandles(n)
+            if q.row(1) == least and all(Q.perm_cycle_type(r) == lengths for r in q.table)
+        ]
+        assert list(Q.enumerate_quandles(n, lengths)) == want, lengths
+        assert list(Q.enumerate_quandles(n, lengths[::-1])) == want, lengths
+    # no translation lacks a fixed point
+    assert list(Q.enumerate_quandles(4, (2, 2))) == []
+    with pytest.raises(InputError):
+        next(Q.enumerate_quandles(0, ()))
+
+
+def _transitive(q: Q.Quandle) -> bool:
+    return {g[0] for g in Q.automorphisms(q)} == set(q.elements())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_homogeneous_pieces_match_the_labeled_census(k):
+    # oracle: the crossed-set classes of the labeled census whose automorphism
+    # group is transitive
+    pieces = [Q.canonical_table(q) for q in homogeneous_pieces(k)]
+    want = {
+        Q.canonical_table(q)
+        for q in census_classes(k)
+        if Q.is_crossed_set(q) and _transitive(q)
+    }
+    assert set(pieces) == want
+    assert len(pieces) == (1, 1, 2, 3, 4, 7)[k - 1]
+
+
+def _connected(pieces) -> list:
+    return [q for q in pieces if len(Q.inner_orbits(q)) == 1]
+
+
 def test_affine_order7_connected_and_pairwise_distinct():
-    affs = Q.connected_quandles(7)
-    assert len(affs) == 5
+    # Etingof, Soloviev and Guralnick (2001): the connected quandles of order 7
+    # are the five Aff(7, a); with one more class, the homogeneous pieces of
+    # size 7 are six
+    affs = [affine_quandle(7, a) for a in range(2, 7)]
     for q in affs:
         assert Q.is_quandle(q.table) and Q.is_crossed_set(q) and len(Q.inner_orbits(q)) == 1
-    assert len({Q.canonical_table(q) for q in affs}) == 5
-    assert Q.affine_quandle(5, 4) == Q.catalog("Aff(5,4)")
+    pieces = homogeneous_pieces(7)
+    assert len(pieces) == 6
+    connected = {Q.canonical_table(q) for q in _connected(pieces)}
+    assert connected == {Q.canonical_table(q) for q in affs}
+    assert len(connected) == 5
+    assert affine_quandle(5, 4) == Q.catalog("Aff(5,4)")
 
 
 def test_connected_quandles_are_the_catalog_indecomposables():
-    names = {n: {Q.match_catalog(q) for q in Q.connected_quandles(n)} for n in range(1, 7)}
+    names = {n: {Q.match_catalog(q) for q in _connected(homogeneous_pieces(n))} for n in range(1, 7)}
     assert names == {
         1: {"trivial(1)"},
         2: set(),
@@ -429,5 +491,13 @@ def test_connected_quandles_are_the_catalog_indecomposables():
         5: {"Aff(5,2)", "Aff(5,3)", "Aff(5,4)"},
         6: {"(12)^S4", "(1234)^S4"},
     }
-    with pytest.raises(InputError):
-        Q.connected_quandles(8)
+    assert set().union(*names.values()) == set(INDECOMPOSABLE_NAMES)
+
+
+@pytest.mark.slow
+def test_connected_quandles_of_order_8():
+    # Vendramin (JKTR 2012) lists three connected quandles of order 8
+    pieces = homogeneous_pieces(8)
+    assert len(pieces) == 13
+    assert len(_connected(pieces)) == 3
+    assert all(Q.is_crossed_set(q) and _transitive(q) for q in pieces)

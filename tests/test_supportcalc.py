@@ -9,7 +9,7 @@ from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
 from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 
-from oracles import census_classes, conj_word, phi_support_expand, two_orbit_census
+from oracles import census_classes, conj_word, labeled_quandles, phi_support_expand, two_orbit_census
 
 
 def adjoin_fixed_point(q: Quandle) -> Quandle:
@@ -596,7 +596,7 @@ def test_two_orbit_candidates_match_labeled_census():
     for n in range(2, 7):
         two_orbit = [
             q
-            for q in Q.enumerate_quandles(n)
+            for q in labeled_quandles(n)
             if len(Q.inner_orbits(q)) == 2 and Q.is_crossed_set(q)
         ]
         labeled_path += Q.iso_class_representatives(two_orbit)
