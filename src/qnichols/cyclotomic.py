@@ -4,7 +4,9 @@ Numbers are residues modulo the N-th cyclotomic polynomial with rational
 coefficients, so each conductor gives a true field; mixed-conductor operands
 are lifted to the lcm conductor, and conductors are capped at MAX_CONDUCTOR.
 An integral coefficient is stored as an int and only a non-integral one as a
-Fraction, so the common integer case costs no Fraction arithmetic.  Matrices
+Fraction, so the common integer case costs no Fraction arithmetic.  One long
+division, ``_poly_divmod``, builds Phi_N, reduces every product and runs the
+Euclid steps of an inverse; phi(N) is read off as the degree of Phi_N.  Matrices
 store their nonzero entries sparsely by row, and every rank and kernel comes
 from one sparse pivot-row elimination, ``echelon_rows``.
 """
@@ -36,48 +38,40 @@ def _check_conductor(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
-    return result
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, computed by exact division of
-    x^n - 1 by the Phi_d for proper divisors d."""
+    """Coefficients of Phi_n, ascending degree: x^n - 1 divided by the Phi_d
+    of the proper divisors d.  Its degree is phi(n), the length of a CycNum."""
     if n < 1:
         raise InputError("conductor must be positive")
     num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num = _poly_divexact(num, list(cyclotomic_poly(d)))
+            num, rem = _poly_divmod(num, cyclotomic_poly(d))
+            if any(rem):
+                raise InvariantViolationError(f"Phi_{d} leaves remainder {rem} in x^{n} - 1")
     return tuple(num)
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1]:
-            raise InvariantViolationError(f"{den} does not divide {num} over the integers")
-        q = c // den[-1]
-        out[k] = q
-        for i, d in enumerate(den):
-            num[k + i] -= q * d
-    if any(num):
-        raise InvariantViolationError(f"division by {den} leaves remainder {num}")
-    return out
+def _poly_divmod(a: Sequence[Rat], b: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
+    """Long division of polynomials in ascending coefficients, b[-1] nonzero:
+    (q, r) with a = q*b + r and len(r) < len(b).  The one polynomial division
+    of the package.  A monic b, as every Phi_N is, divides no coefficient, so
+    integer input gives integer output."""
+    deg = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q: list[Rat] = [0] * (len(r) - deg)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if c:
+            if lead != 1:
+                c = Fraction(c) / lead
+            q[k] = c
+            for i in range(deg):
+                d = b[i]
+                if d:
+                    r[k + i] -= c * d
+    return q, r
 
 
 def _rat(c: Rat) -> Rat:
@@ -95,10 +89,11 @@ class CycNum:
 
     def __init__(self, conductor: int, coeffs: Sequence[Rat]):
         _check_conductor(conductor)
-        deg = euler_phi(conductor)
-        cs = [c if type(c) is int else _rat(Fraction(c)) for c in coeffs]
+        phi = cyclotomic_poly(conductor)
+        deg = len(phi) - 1
+        cs = [c if type(c) is int else _rat(c if type(c) is Fraction else Fraction(c)) for c in coeffs]
         if len(cs) > deg:
-            cs = [_rat(c) for c in _reduce_mod(cs, cyclotomic_poly(conductor))]
+            cs = [c if type(c) is int else _rat(c) for c in _poly_divmod(cs, phi)[1]]
         cs += [0] * (deg - len(cs))
         self.N = conductor
         self.coeffs = tuple(cs)
@@ -176,21 +171,25 @@ class CycNum:
         return CycNum(a.N, prod)
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via extended Euclid against Phi_N, over Fractions."""
+        """Multiplicative inverse by extended Euclid against Phi_N.  Each
+        remainder r1 equals s1 * self modulo Phi_N, with the Bezout coefficient
+        s1 kept as a CycNum; Phi_N is irreducible, so the remainders end in a
+        nonzero rational c, and the inverse is s1 / c."""
         if self.is_zero():
             raise InputError("cannot invert zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.N)]
-        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
+        r0, r1 = list(cyclotomic_poly(self.N)), list(self.coeffs)
+        s0, s1 = zero(self.N), one(self.N)
+        while True:
+            while r1 and not r1[-1]:
+                r1.pop()
+            if len(r1) <= 1:
+                break
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = _poly_trim(r0)
-        if len(lead) != 1:
+            s0, s1 = s1, s0 - CycNum(self.N, q) * s1
+        if not r1:
             raise InvariantViolationError("element is a zero divisor; conductor arithmetic broken")
-        scale = 1 / lead[0]
-        return CycNum(self.N, [c * scale for c in s0])
+        return s1 * CycNum.rational(Fraction(1) / r1[0])
 
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:
@@ -267,58 +266,14 @@ def one(conductor: int = 1) -> CycNum:
 _ZERO = zero()
 
 
-def _reduce_mod(coeffs: list[Fraction], phi: tuple[int, ...]) -> list[Fraction]:
-    deg = len(phi) - 1
-    cs = coeffs[:]
-    for k in range(len(cs) - 1, deg - 1, -1):
-        c = cs[k]
-        if c:
-            for i in range(deg + 1):
-                cs[k - deg + i] -= c * phi[i]
-    return cs[:deg]
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    k = len(p)
-    while k > 0 and not p[k - 1]:
-        k -= 1
-    return p[:k]
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = _poly_trim(a[:])
-    b = _poly_trim(b[:])
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            a[k + i] -= c * b[i]
-        a = _poly_trim(a)
-    return q, a
-
-
 class CycMatrix:
-    """Exact matrix over a cyclotomic field; entries stored sparsely by row."""
+    """Exact matrix over a cyclotomic field; entries stored sparsely by row.
+
+    ``data`` holds no zero entry and no empty row: ``set`` drops both,
+    products keep only nonzero sums, and the code that fills ``data`` directly
+    (``ydmod.braiding``, ``nichols._matrix``, ``nichols.graded_rank``) copies
+    nonzero entries and rows only.  So two matrices are equal exactly when
+    their shapes and stored rows are."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -384,14 +339,7 @@ class CycMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        keys = set()
-        for i, j, _ in self.iter_entries():
-            keys.add((i, j))
-        for i, j, _ in other.iter_entries():
-            keys.add((i, j))
-        return all(self.get(i, j) == other.get(i, j) for i, j in keys)
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     __hash__ = None
 
@@ -473,10 +421,10 @@ def parse_cyc(text: str) -> CycNum:
         if not token:
             raise InputError("empty factor in scalar")
         if token.startswith("z"):
-            base, _, exp = token[1:].partition("^")
+            base, caret, exp = token[1:].partition("^")
             try:
                 n = int(base)
-                k = int(exp) if exp else 1
+                k = int(exp) if caret else 1
             except ValueError:
                 raise InputError(f"bad root-of-unity token {token!r}")
             if n < 1:

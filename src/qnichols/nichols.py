@@ -245,12 +245,11 @@ def phi_operator(v: YDModule, w: YDModule, m: int) -> CycMatrix:
     return _matrix((v,) * m + (w,), lambda t: _phi_image(v, w, t, memo))
 
 
-def symmetrized_t(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> CycMatrix:
+def symmetrized_t(v: YDModule, w: YDModule, m: int) -> CycMatrix:
     """(S_m (x) id_W) T_m, whose image realizes the m-th adjoint power.
     S_m is applied once per V^(x)m basis tuple within the call."""
-    _check_budget(cap)
     _check_power(m, "m", 1)
-    _check_cap(v.dim**m * w.dim, cap)
+    _check_cap(v.dim**m * w.dim, DEFAULT_DIM_CAP)
     factors = (v,) * m + (w,)
     memo: dict = {}
     return _matrix(factors, lambda t: _st_image(v, factors, t, memo))

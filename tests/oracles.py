@@ -47,6 +47,12 @@ def matrix_sum(*terms: CycMatrix) -> CycMatrix:
     return out
 
 
+def stores_no_zero(m: CycMatrix) -> bool:
+    """Whether m stores no zero entry and no empty row, which CycMatrix
+    equality relies on."""
+    return all(row and not any(v.is_zero() for v in row.values()) for row in m.data.values())
+
+
 # -- acceptance criterion 4: the symmetrizer factorization ---------------------
 
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnichols import cyclotomic as C
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
-from oracles import cyc_matrix
+from oracles import cyc_matrix, stores_no_zero
 
 
 def test_phi_polys():
@@ -20,12 +20,70 @@ def test_phi_polys():
     assert C.cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
-def test_poly_divexact_rejects_a_remainder():
-    assert C._poly_divexact([1, 0, -1], [-1, 1]) == [-1, -1]
+def totient(n: int) -> int:
+    """phi(n) by its definition: the count of k <= n coprime to n."""
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def test_phi_degree_is_the_totient():
+    cap = C.MAX_CONDUCTOR
+    for n in [*range(1, 201), cap - 2, cap - 1, cap]:
+        assert len(C.cyclotomic_poly(n)) - 1 == totient(n), n
+
+
+def test_cyclotomic_poly_rejects_a_remainder(monkeypatch):
+    build = C.cyclotomic_poly.__wrapped__  # uncached, so nothing stale is kept
+    # a wrong Phi_1 = x + 1: x^3 - 1 = (x + 1)(x^2 - x + 1) - 2
+    monkeypatch.setattr(C, "cyclotomic_poly", lambda d: (1, 1))
     with pytest.raises(InvariantViolationError):
-        C._poly_divexact([1, 0, 1], [1, 1])  # x^2 + 1 = (x + 1)(x - 1) + 2
-    with pytest.raises(InvariantViolationError):
-        C._poly_divexact([0, 1], [0, 2])  # leading coefficient not divisible
+        build(3)
+
+
+def long_division(a: list, b: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Schoolbook division over Fractions, highest degree first."""
+    rem, q = [Fraction(c) for c in a], []
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        q.append(c)
+        shift = len(rem) - len(b)
+        for i, d in enumerate(b):
+            rem[shift + i] -= c * d
+        rem.pop()
+    return q[::-1], rem
+
+
+def poly_mul_add(q: list, b: list, r: list) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(q) + len(b) - 1, len(r))
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i, x in enumerate(r):
+        out[i] += x
+    return out
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+small_ints = st.integers(min_value=-5, max_value=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(small_ints, rationals), max_size=9),
+    st.lists(st.one_of(small_ints, rationals), max_size=5),
+    st.one_of(st.just(1), small_ints.filter(bool), rationals.filter(bool)),
+)
+@example(a=[1, 0, -1], b=[-1], lead=1)  # exact: 1 - x^2 = (-1 - x)(x - 1)
+@example(a=[1, 0, 1], b=[1], lead=1)  # x^2 + 1 = (x - 1)(x + 1) + 2
+@example(a=[0, 1], b=[0], lead=2)  # x = (1/2)(2x): the leading coefficient does not divide
+def test_poly_divmod_matches_long_division(a, b, lead):
+    b = [*b, lead]
+    q, r = C._poly_divmod(a, b)
+    assert (q, r) == long_division(a, b)
+    assert len(r) < len(b)
+    padded = [Fraction(c) for c in a] + [Fraction(0)] * max(0, len(b) - 1 - len(a))
+    assert poly_mul_add(q, b, r)[: len(padded)] == padded
+    if lead == 1 and all(type(c) is int for c in a + b):
+        assert all(type(c) is int for c in q + r)
 
 
 def test_zeta4_squared():
@@ -92,7 +150,7 @@ def test_embedding_consistency(a, b):
 
 def assert_normal_form(x: C.CycNum) -> None:
     """Exactly phi(N) coefficients, each an int or a non-integral Fraction."""
-    assert len(x.coeffs) == C.euler_phi(x.N)
+    assert len(x.coeffs) == totient(x.N)
     for c in x.coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
@@ -179,7 +237,7 @@ def test_normal_form_keeps_integers_as_int():
 def test_conductor_cap():
     cap = C.MAX_CONDUCTOR
     below = C.CycNum.zeta(cap)
-    assert len(below.coeffs) == C.euler_phi(cap)
+    assert len(below.coeffs) == totient(cap)
     with pytest.raises(ResourceCapError):
         C.CycNum.zeta(cap + 1)
     with pytest.raises(ResourceCapError):
@@ -309,6 +367,29 @@ def test_rank_kernel_dims_sum():
     assert (m @ m.kernel_basis()).is_zero()
 
 
+def test_matrix_equality_crosses_conductors_not_shapes():
+    z3 = C.CycNum.zeta(3)
+    a = cyc_matrix([[1, z3], [0, -1]])
+    b = cyc_matrix([[C.CycNum(4, [1]), C.CycNum.zeta(6) ** 2], [0, C.CycNum.zeta(2)]])
+    assert a == b and b == a
+    assert a != cyc_matrix([[1, z3], [0, 1]])
+    assert a != cyc_matrix([[1, z3, 0], [0, -1, 0]])
+    assert C.CycMatrix(2, 3) != C.CycMatrix(3, 2)
+    assert C.CycMatrix(2, 2) == cyc_matrix([[z3, 0], [0, 0]]) @ cyc_matrix([[0, 0], [1, 0]])
+
+
+def test_matrix_operations_store_no_zero_entry():
+    m = cyc_matrix([[1, 2], [3, 0]])
+    m.set(0, 1, C.zero(5))
+    m.set(1, 0, C.zero())  # empties row 1
+    assert m.data == {0: {0: C.one()}} and stores_no_zero(m)
+    # row 0 cancels: 1 * 1 + 1 * (-1) = 0
+    prod = cyc_matrix([[1, 1], [1, 0]]) @ cyc_matrix([[1], [-1]])
+    assert prod == cyc_matrix([[0], [1]]) and stores_no_zero(prod)
+    for mat in (cyc_matrix([[0, 1, 0], [0, 0, 0]]).transpose(), C.CycMatrix.identity(3)):
+        assert stores_no_zero(mat)
+
+
 def test_matmul_vs_dense_oracle():
     z = C.CycNum.zeta(5)
     a = cyc_matrix([[1, z], [z**2, 3]])
@@ -328,6 +409,8 @@ def test_parse_cyc():
         C.parse_cyc("zx")
     with pytest.raises(InputError):
         C.parse_cyc("")
+    with pytest.raises(InputError):
+        C.parse_cyc("z3^")  # a dangling exponent is not z3
 
 
 def test_str_round_readable():

@@ -11,7 +11,7 @@ from qnichols import ydmod as Y
 from qnichols.envgroup import catalog_envelope, sl23
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
-from oracles import cyc_matrix, factorization_identity_holds, matrix_sum
+from oracles import cyc_matrix, factorization_identity_holds, matrix_sum, stores_no_zero
 
 ONE = C.one()
 NEG = C.CycNum.rational(-1)
@@ -172,6 +172,16 @@ def test_operators_preserve_grading(s3pair):
             assert block_of[i] == block_of[j]
 
 
+def test_operators_store_no_zero_entry(s3pair):
+    # diag(NEG, ONE) has a trivial double braiding, so T_1 cancels to zero
+    u = non_monomial_module()
+    for v, w in (s3pair, (u, u), diag(NEG, ONE), diag(Z3, NEG)):
+        assert stores_no_zero(Y.braiding(v, w))
+        for mat in (N.t_operator(v, w, 1), N.phi_operator(v, w, 2), N.symmetrized_t(v, w, 2)):
+            assert stores_no_zero(mat)
+        assert stores_no_zero(N.quantum_symmetrizer(v, 3))
+
+
 def test_graded_rank_rejects_a_matrix_that_mixes_blocks(s3pair):
     v, w = s3pair
     block_of = total_degrees((v, w))
@@ -320,7 +330,7 @@ def test_s4_pair_both_ways_past_the_default_cap(s4pair):
 def test_nonpositive_cap_is_an_input_error_at_every_power(s3pair, cap):
     v, w = s3pair
     for m in (0, 1, 2):
-        for call in (N.symmetrized_t, N.adjoint_power_report, N.x_space_dim):
+        for call in (N.adjoint_power_report, N.x_space_dim):
             with pytest.raises(InputError, match="cap must be at least 1"):
                 call(v, w, m, cap=cap)
 
@@ -328,7 +338,7 @@ def test_nonpositive_cap_is_an_input_error_at_every_power(s3pair, cap):
 def test_cap_of_one_keeps_its_meaning(s3pair):
     v, w = s3pair
     assert N.adjoint_power_report(v, w, 0, cap=1)["dim"] == N.x_space_dim(v, w, 0, cap=1) == 3
-    for call in (N.symmetrized_t, N.adjoint_power_report, N.x_space_dim):
+    for call in (N.adjoint_power_report, N.x_space_dim):
         with pytest.raises(ResourceCapError):
             call(v, w, 1, cap=1)
 

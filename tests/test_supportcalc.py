@@ -478,6 +478,27 @@ def test_nc_checks_left_out_of_the_rules_never_reject(source, counts):
 
 
 @pytest.mark.slow
+def test_commutative_v_is_generated_by_w_translations_on_the_census():
+    # On the census V is one inner orbit, so Inn(X) is transitive on V.  A
+    # commutative V is fixed pointwise by the translations by V, so the
+    # translations by W alone are transitive on V: orbit_v_generated_by_w_translations
+    # holds.  The rule stays in RULES, since a V of several inner orbits can fail
+    # it (its _RULE_PINS entry).
+    items = S.NC_ITEMS
+    contexts = commutative = 0
+    for q in two_orbit_census():
+        for ctx in _role_splits(q):
+            if ctx.commuting:
+                continue
+            contexts += 1
+            assert set(ctx.orbit_v) in [set(o) for o in Q.inner_orbits(q)], ctx
+            if items["orbit_v_commutative"](ctx):
+                commutative += 1
+                assert items["orbit_v_generated_by_w_translations"](ctx), ctx
+    assert (contexts, commutative) == (50, 28)
+
+
+@pytest.mark.slow
 def test_commutative_w_is_settled_by_the_rules_before_the_certificates():
     # A commutative W is a trivial subquandle.  If |W| >= 2 the decomposition
     # rule leaves exactly two parts, so |W| = 2; W's translations are
