@@ -10,9 +10,9 @@ tuple.
 
 Braidings preserve the total degree and commute with the diagonal action of
 the group, so h maps the degree-d part of every operator's image onto the
-degree h d h^-1 part.  The adjoint-power report and the x-space therefore
-compute one total-degree block per conjugacy class, at its least element, and
-read the conjugate blocks off it.
+degree h d h^-1 part.  The x-space recursion, which answers every adjoint-power
+question, therefore computes one total-degree block per conjugacy class, at its
+least element, and moves it to the conjugate blocks.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ DEFAULT_DIM_CAP = 4096
 #: The largest tensor power m (or n) an entry point accepts, checked before
 #: any factor tuple is built; DEFAULT_DIM_CAP never bounds one-dimensional
 #: modules.  ``adjoint`` on the diagonal pair q11 = 1, q12 q21 = z3, whose powers
-#: never vanish, took a median 0.35 s at m = 100 and 0.49 s at 128 (q11 = -1:
-#: 0.18 and 0.19 s; five CLI runs each, 2 shared vCPUs, Python 3.11); at 320 it
-#: took 2.7 s in process.
+#: never vanish, took a median 0.30 s at m = 100 and 0.33 s at 128 (q11 = -1:
+#: 0.21 and 0.15 s; five CLI runs each, 2 shared vCPUs, Python 3.11); at 320 it
+#: took 1.5 s in process.
 MAX_ADJOINT_POWER = 128
 
 #: A sparse vector of a tensor product: basis tuple -> nonzero coefficient.
@@ -147,12 +147,6 @@ def _phi_image(v: YDModule, w: YDModule, t: tuple[int, ...], memo: dict) -> Vect
     return got
 
 
-def _st_image(v: YDModule, factors: tuple[YDModule, ...], t: tuple[int, ...], memo: dict) -> Vector:
-    """(S_m (x) id) T_m e_t, m = len(factors) - 1, with S_m memoised in memo."""
-    m = len(factors) - 1
-    return _apply(_t_image(factors, t), lambda s: _s_image(v, s, m, memo))
-
-
 def _act(vecs: list[Vector], v: YDModule, w: YDModule, h: int) -> list[Vector]:
     """h . x for each x in V^(x)m (x) W, h acting diagonally on the factors."""
     col_v, col_w = _columns(v.actions[h]), _columns(w.actions[h])
@@ -252,7 +246,9 @@ def symmetrized_t(v: YDModule, w: YDModule, m: int) -> CycMatrix:
     _check_cap(v.dim**m * w.dim, DEFAULT_DIM_CAP)
     factors = (v,) * m + (w,)
     memo: dict = {}
-    return _matrix(factors, lambda t: _st_image(v, factors, t, memo))
+    return _matrix(
+        factors, lambda t: _apply(_t_image(factors, t), lambda s: _s_image(v, s, m, memo))
+    )
 
 
 def graded_rank(
@@ -279,41 +275,27 @@ def graded_rank(
 
 
 def adjoint_power_dim(v: YDModule, w: YDModule, m: int) -> int:
-    """Dimension of the m-th braided adjoint image of W under V: the rank of
-    (S_m (x) id) T_m; m = 0 returns dim W."""
+    """Dimension of the m-th braided adjoint image (ad V)^m(W); m = 0 returns
+    dim W.  See ``adjoint_power_report``."""
     return adjoint_power_report(v, w, m)["dim"]
 
 
 def adjoint_power_report(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict:
-    """Per-block rank report for the CLI: degree tuples use group element names.
+    """Per-degree dimensions of (ad V)^m(W) for the CLI, degrees named by their
+    group elements, read off the x-space (``_x_components``).
 
-    The columns of (S_m (x) id) T_m are built and ranked only for the block of
-    the least degree r of each conjugacy class; every degree h r h^-1 gets the
-    rank of r, since h maps the one block onto the other."""
-    _check_budget(cap)
-    _check_power(m, "m", 0)
-    if m == 0:
-        return {"m": 0, "dim": w.dim, "per_block": []}
-    _check_cap(v.dim**m * w.dim, cap)
-    factors = (v,) * m + (w,)
-    deg = _degrees(factors)
-    rep = {d: _least_conjugate(v.group, d)[0] for d in set(deg)}
-    blocks: dict[int, list[tuple[int, ...]]] = {r: [] for r in rep.values()}
-    for t, d in zip(product(*(range(f.dim) for f in factors)), deg):
-        if rep[d] == d:
-            blocks[d].append(t)
-    memo: dict = {}
-    rank = {
-        r: len(echelon_rows(_st_image(v, factors, t, memo) for t in ts))
-        for r, ts in blocks.items()
-    }
+    Andruskiewitsch, Heckenberger and Schneider (The Nichols algebra of a
+    semisimple Yetter-Drinfeld module, Amer. J. Math. 132 (2010)): with
+    X_0 = W and X_m = phi_m(V (x) X_{m-1}) in V^(x)m (x) W, the adjoint image
+    (ad V)^m(W) in the Nichols algebra of V (+) W is isomorphic to X_m as a
+    Yetter-Drinfeld module for every m >= 0.  Isomorphic Yetter-Drinfeld
+    modules have equal homogeneous components, so the ``rank`` given for a
+    degree d is dim X_m[d]; the ``x_space_dim`` key repeats ``dim``."""
+    comps = _x_components(v, w, m, cap)
+    dim = sum(comps.values())
     names = v.group.names
-    per_block = [{"degree": names[d], "rank": rank[rep[d]]} for d in sorted(rep)]
-    return {
-        "m": m,
-        "dim": sum(b["rank"] for b in per_block),
-        "per_block": [b for b in per_block if b["rank"] > 0],
-    }
+    per_block = [{"degree": names[d], "rank": comps[d]} for d in sorted(comps)] if m else []
+    return {"m": m, "dim": dim, "per_block": per_block, "x_space_dim": dim}
 
 
 def _x_components(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict[int, int]:

@@ -7,11 +7,12 @@ with ``test_``), and test modules import it as ``oracles``.
 
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from qnichols import nichols as N
 from qnichols import quandle as Q
-from qnichols.cyclotomic import CycMatrix, CycNum
+from qnichols.cyclotomic import CycMatrix, CycNum, echelon_rows
 from qnichols.envgroup import FinGroup
 from qnichols.errors import InputError
 from qnichols.supportcalc import (
@@ -71,6 +72,43 @@ def factorization_identity_holds(v: YDModule, w: YDModule, n: int) -> bool:
         return N._apply(vec, lambda s: N._phi_image(v, w, s, phi_memo))
 
     return lhs == N._matrix((v,) + inner, rhs)
+
+
+# -- acceptance criterion 5: adjoint dimensions by the symmetrizer rank --------
+
+
+def symmetrizer_report(v: YDModule, w: YDModule, m: int, cap: int = N.DEFAULT_DIM_CAP) -> dict:
+    """``nichols.adjoint_power_report`` without its ``x_space_dim`` key, from
+    the rank of (S_m (x) id) T_m instead of the x-space.
+
+    Its columns are built and ranked only for the block of the least degree r
+    of each conjugacy class; every degree h r h^-1 gets the rank of r, since h
+    maps the one block onto the other."""
+    N._check_budget(cap)
+    N._check_power(m, "m", 0)
+    if m == 0:
+        return {"m": 0, "dim": w.dim, "per_block": []}
+    N._check_cap(v.dim**m * w.dim, cap)
+    factors = (v,) * m + (w,)
+    deg = N._degrees(factors)
+    rep = {d: N._least_conjugate(v.group, d)[0] for d in set(deg)}
+    blocks: dict[int, list[tuple[int, ...]]] = {r: [] for r in rep.values()}
+    for t, d in zip(product(*(range(f.dim) for f in factors)), deg):
+        if rep[d] == d:
+            blocks[d].append(t)
+    memo: dict = {}
+
+    def st_image(t: tuple[int, ...]) -> N.Vector:
+        return N._apply(N._t_image(factors, t), lambda s: N._s_image(v, s, m, memo))
+
+    rank = {r: len(echelon_rows(st_image(t) for t in ts)) for r, ts in blocks.items()}
+    names = v.group.names
+    per_block = [{"degree": names[d], "rank": rank[rep[d]]} for d in sorted(rep)]
+    return {
+        "m": m,
+        "dim": sum(b["rank"] for b in per_block),
+        "per_block": [b for b in per_block if b["rank"] > 0],
+    }
 
 
 # -- acceptance criterion 6: the support expansion ------------------------------

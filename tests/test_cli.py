@@ -479,14 +479,27 @@ def test_equal_descriptors_build_one_module(s3pair_spec, tmp_path):
     assert v is not w and v.actions != w.actions
 
 
-def test_adjoint_exit4_when_the_two_computations_disagree(capsys, monkeypatch, s3pair_spec):
-    # the report is cross-checked against the phi recursion before anything is printed
-    x_space_dim = nichols.x_space_dim
-    monkeypatch.setattr(nichols, "x_space_dim", lambda v, w, m, cap: x_space_dim(v, w, m, cap) + 1)
+def test_adjoint_exit4_on_an_invariant_violation(capsys, monkeypatch, s3pair_spec):
+    # a braiding chain that breaks its invariant stops the command before it prints
+    def broken_chain(*args):
+        raise InvariantViolationError("braiding chain does not return to the factor order")
+
+    monkeypatch.setattr(nichols, "_chain", broken_chain)
     code = main(["adjoint", "--spec", s3pair_spec, "--m", "1"])
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")
     assert "invariant violation" in err
+
+
+def test_adjoint_runs_no_symmetrizer_code(capsys, monkeypatch, s3pair_spec):
+    _, want = run(capsys, "adjoint", "--spec", s3pair_spec, "--m", "3")
+
+    def unreachable(*args):
+        raise AssertionError("adjoint ran the symmetrizer path")
+
+    monkeypatch.setattr(nichols, "_s_image", unreachable)
+    monkeypatch.setattr(nichols, "_t_image", unreachable)
+    assert run(capsys, "adjoint", "--spec", s3pair_spec, "--m", "3") == (0, want)
 
 
 def test_adjoint_cap_exit3(capsys, s3pair_spec):
@@ -497,7 +510,7 @@ def test_adjoint_cap_exit3(capsys, s3pair_spec):
 SL23_MODULE = {"class_rep": "[01;22]", "character": {"[02;11]": "z6"}}
 
 
-@pytest.mark.parametrize("m, dim", [(1, 12), (2, 28), (3, 52)])
+@pytest.mark.parametrize("m, dim", [(1, 12), (2, 28), (3, 52), (4, 88)])
 def test_adjoint_sl23_pair_both_group_references(capsys, tmp_path, m, dim):
     outs = []
     for key, group in (("group_ref", "sl23"), ("group", {"type": "sl23"})):

@@ -4,6 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnichols import cyclotomic as C
 from qnichols import nichols as N
@@ -11,7 +12,13 @@ from qnichols import ydmod as Y
 from qnichols.envgroup import catalog_envelope, sl23
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
-from oracles import cyc_matrix, factorization_identity_holds, matrix_sum, stores_no_zero
+from oracles import (
+    cyc_matrix,
+    factorization_identity_holds,
+    matrix_sum,
+    stores_no_zero,
+    symmetrizer_report,
+)
 
 ONE = C.one()
 NEG = C.CycNum.rational(-1)
@@ -142,10 +149,10 @@ def test_factorization_identity_s3(s3pair):
     assert factorization_identity_holds(v, w, 2)
 
 
-def test_adjoint_equals_xspace_s3(s3pair):
+def test_adjoint_equals_symmetrizer_rank_s3(s3pair):
     v, w = s3pair
     for m in (1, 2, 3):
-        assert N.adjoint_power_dim(v, w, m) == N.x_space_dim(v, w, m)
+        assert N.adjoint_power_dim(v, w, m) == symmetrizer_report(v, w, m)["dim"]
 
 
 def test_adjoint_dims_s3_values(s3pair):
@@ -301,14 +308,14 @@ def test_diagonal_pairs_match_the_closed_formula(n):
             v, w = diag(q11, q12q21)
             for m in range(1, n + 2):
                 want = 0 if _q_factorial_vanishes(q11, q12q21, m) else 1
-                got = (N.x_space_dim(v, w, m), N.adjoint_power_dim(v, w, m))
+                got = (N.x_space_dim(v, w, m), symmetrizer_report(v, w, m)["dim"])
                 assert got == (want, want), (n, b, c, m)
 
 
 def test_non_monomial_module_both_ways():
     u = non_monomial_module()
     dims = [2, 3, 4, 7]
-    assert [N.adjoint_power_dim(u, u, m) for m in (1, 2, 3, 4)] == dims
+    assert [symmetrizer_report(u, u, m)["dim"] for m in (1, 2, 3, 4)] == dims
     assert [N.x_space_dim(u, u, m) for m in (1, 2, 3, 4)] == dims
     assert all(factorization_identity_holds(u, u, n) for n in (1, 2, 3))
 
@@ -322,7 +329,7 @@ def test_s4_pair_x_space_past_the_default_cap(s4pair):
 def test_s4_pair_both_ways_past_the_default_cap(s4pair):
     # with X_1..X_5 = 16, 30, 34, 30, 16 this fixes the Cartan entry a_VW = -6
     v, w = s4pair
-    assert N.adjoint_power_report(v, w, 4, cap=10**5)["dim"] == 30
+    assert symmetrizer_report(v, w, 4, cap=10**5)["dim"] == 30
     assert [N.x_space_dim(v, w, m, cap=10**7) for m in (6, 7)] == [6, 0]
 
 
@@ -412,6 +419,7 @@ def test_one_block_per_class_matches_every_block(name):
         if m:
             report = N.adjoint_power_report(v, w, m)
             assert report["per_block"] == all_blocks_report(v, w, m), m
+            assert symmetrizer_report(v, w, m)["per_block"] == report["per_block"], m
         comps = N._x_components(v, w, m)
         assert comps == all_degrees_x_space(v, w, m), m
         # X_m is a YD submodule: conjugate components have equal dimension
@@ -420,3 +428,37 @@ def test_one_block_per_class_matches_every_block(name):
         if m:
             assert sum(comps.values()) == report["dim"] == N.x_space_dim(v, w, m)
 
+
+
+# -- per-degree dimensions at m = 4 against the symmetrizer ranking -------------
+
+
+def assert_report_matches_the_symmetrizer(v, w, m, cap=N.DEFAULT_DIM_CAP):
+    report = N.adjoint_power_report(v, w, m, cap)
+    oracle = symmetrizer_report(v, w, m, cap)
+    assert (report["per_block"], report["dim"]) == (oracle["per_block"], oracle["dim"]), m
+
+
+def test_s4_x1_pair_per_degree_at_m4_past_the_default_cap():
+    # 6^5 = 7,776 > DEFAULT_DIM_CAP
+    v, w = PAIRS["S4-x1"][0]()
+    assert_report_matches_the_symmetrizer(v, w, 4, cap=10**4)
+
+
+@pytest.mark.slow
+def test_sl23_pair_per_degree_at_m4():
+    v, w = PAIRS["SL23"][0]()
+    assert_report_matches_the_symmetrizer(v, w, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    exps=st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 11)),
+)
+def test_diagonal_pairs_per_degree_match_the_symmetrizer(n, exps):
+    # exponents of q11, q12 q21 and q22, read mod n; every power m <= 4
+    q11, q12q21, q22 = (C.CycNum.zeta(n, e % n) for e in exps)
+    v, w = diag(q11, q12q21, q22)
+    for m in range(5):
+        assert_report_matches_the_symmetrizer(v, w, m)
