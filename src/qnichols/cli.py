@@ -23,11 +23,10 @@ def _emit(obj) -> None:
 
 
 def _load_quandle(args) -> quandle.Quandle:
-    if getattr(args, "catalog", None):
-        return quandle.catalog(args.catalog)
-    if getattr(args, "file", None):
+    # argparse requires exactly one of --catalog and --file
+    if args.file is not None:
         return quandle.Quandle.from_file(args.file)
-    raise InputError("need --catalog NAME or --file PATH")
+    return quandle.catalog(args.catalog)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -180,7 +179,7 @@ def _build_group(spec) -> envgroup.FinGroup:
     if isinstance(spec, str):
         # short references: "sl23" or "enveloping:<catalog name>"
         if spec == "sl23":
-            return envgroup.sl23()[0]
+            return envgroup.sl23()
         kind, _, name = spec.partition(":")
         if kind == "enveloping" and name:
             return envgroup.catalog_envelope(name)[0].group
@@ -190,7 +189,7 @@ def _build_group(spec) -> envgroup.FinGroup:
         name = _field(spec, "quandle", "group")
         return envgroup.catalog_envelope(name)[0].group
     if kind == "sl23":
-        return envgroup.sl23()[0]
+        return envgroup.sl23()
     if kind == "abelian":
         return ydmod.abelian_group(_field(spec, "orders", "group"))
     raise InputError(f"unknown group type {kind!r}")
@@ -309,17 +308,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_quandle = sub.add_parser("quandle", help="axioms, orbits and catalog matching")
-    p_quandle.add_argument("--catalog")
-    p_quandle.add_argument("--file")
-    p_quandle.add_argument("--iso", nargs=2, metavar=("A", "B"))
+    source = p_quandle.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog")
+    source.add_argument("--file")
+    source.add_argument("--iso", nargs=2, metavar=("A", "B"))
     p_quandle.set_defaults(func=cmd_quandle)
 
     p_env = sub.add_parser("envgroup", help="finite enveloping quotient analysis")
-    p_env.add_argument("--catalog")
-    p_env.add_argument("--file")
+    source = p_env.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog")
+    source.add_argument("--file")
     p_env.add_argument("--max-cosets", type=_positive_int, default=envgroup.DEFAULT_MAX_COSETS)
-    p_env.add_argument("--export-group", action="store_true")
-    p_env.add_argument(
+    export = p_env.add_mutually_exclusive_group()
+    export.add_argument("--export-group", action="store_true")
+    export.add_argument(
         "--export-presentation", action="store_true", help="print the relator words and exit"
     )
     p_env.set_defaults(func=cmd_envgroup)
@@ -336,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_adj.set_defaults(func=cmd_adjoint)
 
     p_cert = sub.add_parser("certify", help="combinatorial certificates for a role split")
-    p_cert.add_argument("--catalog")
-    p_cert.add_argument("--file")
+    source = p_cert.add_mutually_exclusive_group(required=True)
+    source.add_argument("--catalog")
+    source.add_argument("--file")
     p_cert.add_argument("--orbit-v", required=True, help="comma-separated elements")
     p_cert.add_argument("--orbit-w", help="defaults to the complement")
     p_cert.set_defaults(func=cmd_certify)

@@ -1,11 +1,11 @@
 """Enveloping groups of quandles and the ambient group machinery.
 
 Contains a small Todd-Coxeter coset enumerator (HLT strategy with coincidence
-handling and a coset cap), finite-group structure analysis on multiplication
-tables, exact normal-form arithmetic for the infinite groups carrying the
-classification (the one-relator-family groups on generators epsilon/h/g, and
-the graded product of SL(2,3) used for the four-element quandle), plus
-isoclinism witnesses at small order.
+handling and a coset cap), the finite enveloping groups of quandles and of the
+catalog, finite-group structure analysis on multiplication tables, and
+SL(2,3) as an explicit table.  ``FinGroup`` is the one group representation:
+the paper's groups Gamma_n and the SL(2,3) factor reach the package as the
+catalog envelopes of the two-orbit quandles and as ``sl23()``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
-from .quandle import Quandle, catalog, embeddings, inner_orbits
+from .quandle import Quandle, catalog, inner_orbits
 
 Word = tuple[int, ...]  # signed 1-based generator indices
 
@@ -358,42 +358,6 @@ class FinGroup:
         comms = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}
         return self.subgroup_closure(sorted(comms))
 
-    def subgroup(self, elems: Sequence[int]) -> tuple["FinGroup", dict[int, int]]:
-        """The subgroup on the given closed element set, with the id relabeling."""
-        elems = sorted(set(elems))
-        if 0 not in elems:
-            raise InputError("subgroup must contain the identity")
-        pos = {x: k for k, x in enumerate(elems)}
-        try:
-            mult = [[pos[self.mult[a][b]] for b in elems] for a in elems]
-        except KeyError:
-            raise InputError("element set is not closed under multiplication")
-        sub = FinGroup(mult, [self.names[x] for x in elems], check=False)
-        return sub, pos
-
-    def quotient(self, normal: Sequence[int]) -> tuple["FinGroup", tuple[int, ...]]:
-        """G / N for a normal subgroup N; returns the quotient and the projection."""
-        nset = frozenset(normal)
-        if 0 not in nset:
-            raise InputError("normal subgroup must contain identity")
-        for t in range(self.order):
-            if any(self.conj(t, x) not in nset for x in nset):
-                raise InputError("subgroup is not normal")
-        coset_of: dict[int, int] = {}
-        reps: list[int] = []
-        for a in range(self.order):
-            if a in coset_of:
-                continue
-            rep_id = len(reps)
-            for x in nset:
-                coset_of[self.mult[a][x]] = rep_id
-            reps.append(a)
-        k = len(reps)
-        mult = [[coset_of[self.mult[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-        proj = tuple(coset_of[a] for a in range(self.order))
-        quo = FinGroup(mult, [self.names[r] for r in reps], check=False)
-        return quo, proj
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -404,28 +368,6 @@ class FinGroup:
 
     def __repr__(self) -> str:
         return f"FinGroup(order={self.order})"
-
-
-def iter_isomorphisms(
-    g: FinGroup, h: FinGroup, partial: Optional[dict[int, int]] = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield isomorphisms g -> h (as image tuples), honoring a partial map.
-
-    One ``quandle.embeddings`` search on the multiplication table of g,
-    shifted to 1-based labels: each element's candidates are the elements of
-    h of the same order, or its one prescribed image."""
-    if g.order != h.order:
-        return
-    by_order: dict[int, list[int]] = {}
-    for x in range(h.order):
-        by_order.setdefault(h.element_order(x), []).append(x)
-    partial = partial or {}
-    candidates = [
-        [partial[a]] if a in partial else by_order.get(g.element_order(a), [])
-        for a in range(g.order)
-    ]
-    table = [[c + 1 for c in row] for row in g.mult]
-    yield from embeddings(table, h.mul, candidates)
 
 
 # -- enveloping groups ----------------------------------------------------------
@@ -554,195 +496,14 @@ def _render_word(word: tuple[int, ...], gen_names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def induced_hom(
-    q: Quandle,
-    f: dict[int, object],
-    mul: Callable,
-    inv: Callable,
-) -> Optional[Callable]:
-    """Word evaluator for the group map induced by f when f respects conjugation.
-
-    Checks f(x>y) = f(x) f(y) f(x)^{-1} for all pairs; on success returns an
-    evaluator sending a signed quandle word to a product in the target."""
-    for i in q.elements():
-        for j in q.elements():
-            lhs = f[q.op(i, j)]
-            rhs = mul(mul(f[i], f[j]), inv(f[i]))
-            if lhs != rhs:
-                return None
-
-    def evaluate(word: Sequence[int], identity):
-        out = identity
-        for v in word:
-            out = mul(out, f[v] if v > 0 else inv(f[-v]))
-        return out
-
-    return evaluate
-
-
-# -- the groups Gamma_n ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaElem:
-    """Normal form epsilon^i h^j g^k in the modulus-n group (0 <= i < n)."""
-
-    n: int
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InputError("modulus must be >= 2")
-        if not 0 <= self.i < self.n:
-            object.__setattr__(self, "i", self.i % self.n)
-
-    def __str__(self) -> str:
-        parts = []
-        if self.i:
-            parts.append("eps" if self.i == 1 else f"eps^{self.i}")
-        if self.j:
-            parts.append("h" if self.j == 1 else f"h^{self.j}")
-        if self.k:
-            parts.append("g" if self.k == 1 else f"g^{self.k}")
-        return "*".join(parts) if parts else "1"
-
-
-def gamma_identity(n: int) -> GammaElem:
-    return GammaElem(n, 0, 0, 0)
-
-
-def gamma_eps(n: int, power: int = 1) -> GammaElem:
-    return GammaElem(n, power % n, 0, 0)
-
-
-def gamma_h(n: int, power: int = 1) -> GammaElem:
-    return GammaElem(n, 0, power, 0)
-
-
-def gamma_g(n: int, power: int = 1) -> GammaElem:
-    return GammaElem(n, 0, 0, power)
-
-
-def gamma_mul(a: GammaElem, b: GammaElem) -> GammaElem:
-    """Normal-form product using g eps = eps^{-1} g and g h = eps^{-1} h g."""
-    if a.n != b.n:
-        raise InputError(f"modulus mismatch: {a.n} vs {b.n}")
-    n = a.n
-    sign = -1 if a.k % 2 else 1
-    i = (a.i + sign * b.i - (b.j if a.k % 2 else 0)) % n
-    return GammaElem(n, i, a.j + b.j, a.k + b.k)
-
-
-def gamma_inv(a: GammaElem) -> GammaElem:
-    sign = -1 if a.k % 2 else 1
-    i = (-sign * (a.i + (a.j if a.k % 2 else 0))) % a.n
-    out = GammaElem(a.n, i, -a.j, -a.k)
-    if gamma_mul(a, out) != gamma_identity(a.n):
-        raise InvariantViolationError("inverse formula broken")
-    return out
-
-
-def gamma_conj(t: GammaElem, x: GammaElem) -> GammaElem:
-    return gamma_mul(gamma_mul(t, x), gamma_inv(t))
-
-
-def gamma_generators(n: int) -> list[GammaElem]:
-    return [gamma_eps(n), gamma_h(n), gamma_g(n)]
-
-
-def gamma_conj_class(x: GammaElem) -> frozenset[GammaElem]:
-    """Closure of {x} under conjugation by generators and their inverses.
-
-    Classes lie in x<eps>, so the closure is finite; 2n + 4 closure rounds
-    are the cap, as a safety net."""
-    bound = 2 * x.n + 4
-    gens = gamma_generators(x.n)
-    gens += [gamma_inv(t) for t in gens]
-    out = {x}
-    frontier = [x]
-    rounds = 0
-    while frontier and rounds < bound:
-        rounds += 1
-        new = []
-        for y in frontier:
-            for t in gens:
-                z = gamma_conj(t, y)
-                if z not in out:
-                    out.add(z)
-                    new.append(z)
-        frontier = new
-    if frontier:
-        raise ResourceCapError(f"class closure did not stabilize within {bound} rounds")
-    return frozenset(out)
-
-
-def gamma_centralizer_check(x: GammaElem, gens: Sequence[GammaElem]) -> bool:
-    return all(gamma_mul(t, x) == gamma_mul(x, t) for t in gens)
-
-
-def gamma_centralizer_generators(n: int, which: str) -> list[GammaElem]:
-    """The listed abelian centralizer generating sets for the class types
-    'g', 'hg' and 'h^j' (j encoded by the caller multiplying by h powers)."""
-    eps_inv_h2 = gamma_mul(gamma_eps(n, -1), gamma_h(n, 2))
-    if which == "g":
-        return [eps_inv_h2, gamma_g(n), gamma_h(n, n)]
-    if which == "hg":
-        return [eps_inv_h2, gamma_mul(gamma_h(n), gamma_g(n)), gamma_h(n, n)]
-    if which == "h":
-        return [gamma_eps(n), gamma_h(n), gamma_g(n, 2)]
-    raise InputError(f"unknown centralizer family {which!r}")
-
-
-def gamma_center_generators(n: int) -> list[GammaElem]:
-    return [gamma_mul(gamma_eps(n, -1), gamma_h(n, 2)), gamma_h(n, n), gamma_g(n, 2)]
-
-
-def gamma_commutator_closure(n: int) -> frozenset[GammaElem]:
-    """Subgroup closure of all generator commutators (with inverses), closed
-    under conjugation by generators; equals <eps>.  Capped at 64 rounds."""
-    gens = gamma_generators(n)
-    gens += [gamma_inv(t) for t in gens]
-    comms = {
-        gamma_mul(gamma_mul(a, b), gamma_mul(gamma_inv(a), gamma_inv(b)))
-        for a in gens
-        for b in gens
-    }
-    out = {gamma_identity(n)} | comms
-    changed = True
-    rounds = 0
-    while changed:
-        rounds += 1
-        if rounds > 64:
-            raise ResourceCapError("commutator closure did not stabilize")
-        changed = False
-        for a in list(out):
-            for b in list(out):
-                c = gamma_mul(a, b)
-                if c not in out:
-                    out.add(c)
-                    changed = True
-            for t in gens:
-                c = gamma_conj(t, a)
-                if c not in out:
-                    out.add(c)
-                    changed = True
-    return frozenset(out)
-
-
-# -- SL(2,3) and the graded product group ----------------------------------------
+# -- SL(2,3) -----------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
-def sl23() -> tuple[FinGroup, tuple[int, ...], tuple[int, ...]]:
-    """The 24-element group of determinant-1 2x2 matrices over F_3.
-
-    Returns (group, grading, quandle_images) where grading[a] in {0,1,2} is
-    the Z/3 degree (kernel = the eight elements of order dividing 4) and
-    quandle_images are images of the four-element tetrahedral quandle's
-    generators inside an order-3 conjugacy class.
-    """
+def sl23() -> FinGroup:
+    """The 24-element group of determinant-1 2x2 matrices over F_3, element
+    0 the identity and the rest in lexicographic order of (a, b, c, d), each
+    named "[ab;cd]"."""
     mats = []
     for a in range(3):
         for b in range(3):
@@ -768,115 +529,4 @@ def sl23() -> tuple[FinGroup, tuple[int, ...], tuple[int, ...]]:
 
     mult = [[index[mmul(x, y)] for y in mats] for x in mats]
     names = [f"[{a}{b};{c}{d}]" for a, b, c, d in mats]
-    group = FinGroup(mult, names, check=True)
-
-    # Z/3 grading: degree-0 part is the unique order-8 subgroup
-    deg0 = {a for a in range(24) if group.element_order(a) in (1, 2, 4)}
-    order3 = [a for a in range(24) if group.element_order(a) == 3]
-    cls = group.conjugacy_class_of(min(order3))
-    images = _embed_tetrahedral(group, cls)
-    rep = images[0]
-    deg1 = {group.mul(x, rep) for x in deg0}
-    grading = tuple(0 if a in deg0 else 1 if a in deg1 else 2 for a in range(24))
-    for a in range(24):
-        for b in range(24):
-            if (grading[a] + grading[b]) % 3 != grading[group.mul(a, b)]:
-                raise InvariantViolationError("grading is not multiplicative")
-    return group, grading, images
-
-
-def _embed_tetrahedral(group: FinGroup, cls: Sequence[int]) -> tuple[int, ...]:
-    """First lexicographic conjugation-preserving bijection from the
-    tetrahedral quandle onto the given 4-element class."""
-    q = catalog("(123)^A4")
-    f = next(embeddings(q.table, group.conj, [sorted(cls)] * q.n), None)
-    if f is None:
-        raise InvariantViolationError("tetrahedral quandle does not embed in the class")
-    return f
-
-
-@dataclass(frozen=True)
-class TElem:
-    """Element of the graded product group: a central power, a total degree,
-    and an image in SL(2,3) lying in the matching graded component.
-
-    The (degree, image) pair represents the quandle's enveloping factor
-    faithfully: two elements with equal degree and image differ by a power of
-    the central degree-3 element, which the degree pins down."""
-
-    z_exp: int
-    deg: int
-    image: int
-
-    def __post_init__(self):
-        _, grading, _ = sl23()
-        if grading[self.image] != self.deg % 3:
-            raise InputError(
-                f"image {self.image} lies in graded component {grading[self.image]}, "
-                f"not degree {self.deg} mod 3"
-            )
-
-
-def t_identity() -> TElem:
-    return TElem(0, 0, 0)
-
-
-def t_z(power: int = 1) -> TElem:
-    return TElem(power, 0, 0)
-
-
-def t_gen(i: int) -> TElem:
-    """The i-th quandle generator (1-based, i in 1..4)."""
-    _, _, images = sl23()
-    if not 1 <= i <= 4:
-        raise InputError("generator index must be in 1..4")
-    return TElem(0, 1, images[i - 1])
-
-
-def t_mul(a: TElem, b: TElem) -> TElem:
-    group, _, _ = sl23()
-    return TElem(a.z_exp + b.z_exp, a.deg + b.deg, group.mul(a.image, b.image))
-
-
-def t_inv(a: TElem) -> TElem:
-    group, _, _ = sl23()
-    return TElem(-a.z_exp, -a.deg, group.inv(a.image))
-
-
-# -- isoclinism -------------------------------------------------------------------
-
-
-def isoclinism_witness(
-    g: FinGroup, h: FinGroup, bound: int = 64
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Brute-force search for a compatible pair of isomorphisms
-    (G/Z(G) -> H/Z(H), [G,G] -> [H,H]); None when no pair exists."""
-    if g.order > bound or h.order > bound:
-        raise ResourceCapError(f"isoclinism search bounded at order {bound}")
-    qg, projg = g.quotient(g.center())
-    qh, projh = h.quotient(h.center())
-    dg, posg = g.subgroup(g.commutator_subgroup())
-    dh, posh = h.subgroup(h.commutator_subgroup())
-    if qg.order != qh.order or dg.order != dh.order:
-        return None
-    # coset representatives: first preimage
-    repg = [projg.index(c) for c in range(qg.order)]
-    reph = [projh.index(c) for c in range(qh.order)]
-    for zeta in iter_isomorphisms(qg, qh):
-        constraint: dict[int, int] = {}
-        ok = True
-        for a in range(qg.order):
-            for b in range(qg.order):
-                cg = posg[g.commutator(repg[a], repg[b])]
-                ch = posh[h.commutator(reph[zeta[a]], reph[zeta[b]])]
-                if constraint.setdefault(cg, ch) != ch:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        eta = next(iter_isomorphisms(dg, dh, partial=constraint), None)
-        if eta is not None:
-            return zeta, eta
-    return None
+    return FinGroup(mult, names, check=True)

@@ -5,10 +5,9 @@ A quandle on {1..n} is stored as an n x n table with ``table[i-1][j-1] = i > j``
 1-indexed integers; tables are row-major tuples of tuples.
 
 One search, ``embeddings``, finds every map f with f(a > b) = op(f(a), f(b))
-on a 1-based operation table: quandle isomorphisms and automorphisms, maps
-into a group under conjugation, and group isomorphisms (on a shifted
-multiplication table) all call it.  Isomorphism classes of labeled quandles
-are keyed by ``canonical_table``.
+on a 1-based operation table: quandle isomorphisms and automorphisms, and
+maps into a group under conjugation, all call it.  Isomorphism classes of
+labeled quandles are keyed by ``canonical_table``.
 """
 
 from __future__ import annotations
@@ -289,7 +288,7 @@ def embeddings(
     ``table`` is a 1-based operation table: a quandle's table gives maps that
     respect a > b (isomorphisms, automorphisms, maps into a group under
     conjugation), and a group's multiplication table shifted by one gives
-    group isomorphisms (``envgroup.iter_isomorphisms``).
+    injective group homomorphisms.
 
     The search branches on the unassigned element with the shortest candidate
     list (ties go to the least label) and tries its candidates in list order,

@@ -21,7 +21,6 @@ from .errors import InputError, ResourceCapError
 from .quandle import (
     Quandle,
     Z_QUANDLE_NAMES,
-    automorphisms,
     canonical_table,
     cycle_pair,
     embeddings,
@@ -295,11 +294,17 @@ def homogeneous_pieces(k: int) -> list[Quandle]:
         for q in enumerate_quandles(k, lengths)
         if is_crossed_set(q)
     ]
-    return [
-        q
-        for q in iso_class_representatives(crossed)
-        if {g[0] for g in automorphisms(q)} == set(q.elements())
-    ]
+    return [q for q in iso_class_representatives(crossed) if _automorphisms_transitive(q)]
+
+
+def _automorphisms_transitive(q: Quandle) -> bool:
+    """Whether some automorphism of q sends 1 to x, for every element x: one
+    ``embeddings`` search per x, not a list of Aut(q), which has k! elements
+    for ``trivial(k)``."""
+    rest = [q.elements()] * (q.n - 1)
+    return all(
+        next(embeddings(q.table, q.op, [[x], *rest]), None) is not None for x in q.elements()
+    )
 
 
 def census_splits(n_max: int) -> dict[int, list[tuple[Quandle, Quandle]]]:

@@ -8,13 +8,13 @@ with ``test_``), and test modules import it as ``oracles``.
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from qnichols import nichols as N
 from qnichols import quandle as Q
 from qnichols.cyclotomic import CycMatrix, CycNum, echelon_rows
-from qnichols.envgroup import FinGroup
-from qnichols.errors import InputError
+from qnichols.envgroup import FinGroup, catalog_envelope
+from qnichols.errors import InputError, ResourceCapError
 from qnichols.supportcalc import (
     MAX_CENSUS_SIZE,
     DegreeTuple,
@@ -203,6 +203,140 @@ def extend_character_all_pairs(
     if set(values) != sub:
         raise InputError("character generators do not generate the subgroup")
     return values
+
+
+# -- finite groups: isomorphisms, subgroups, quotients and isoclinism ----------
+
+
+def iter_isomorphisms(
+    g: FinGroup, h: FinGroup, partial: Optional[dict[int, int]] = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield isomorphisms g -> h (as image tuples), honoring a partial map.
+
+    One ``quandle.embeddings`` search on the multiplication table of g,
+    shifted to 1-based labels: each element's candidates are the elements of
+    h of the same order, or its one prescribed image."""
+    if g.order != h.order:
+        return
+    by_order: dict[int, list[int]] = {}
+    for x in range(h.order):
+        by_order.setdefault(h.element_order(x), []).append(x)
+    partial = partial or {}
+    candidates = [
+        [partial[a]] if a in partial else by_order.get(g.element_order(a), [])
+        for a in range(g.order)
+    ]
+    table = [[c + 1 for c in row] for row in g.mult]
+    yield from Q.embeddings(table, h.mul, candidates)
+
+
+def induced_hom(
+    q: Q.Quandle,
+    f: dict[int, object],
+    mul: Callable,
+    inv: Callable,
+) -> Optional[Callable]:
+    """Word evaluator for the group map induced by f when f respects conjugation.
+
+    Checks f(x>y) = f(x) f(y) f(x)^{-1} for all pairs; on success returns an
+    evaluator sending a signed quandle word to a product in the target."""
+    for i in q.elements():
+        for j in q.elements():
+            lhs = f[q.op(i, j)]
+            rhs = mul(mul(f[i], f[j]), inv(f[i]))
+            if lhs != rhs:
+                return None
+
+    def evaluate(word: Sequence[int], identity):
+        out = identity
+        for v in word:
+            out = mul(out, f[v] if v > 0 else inv(f[-v]))
+        return out
+
+    return evaluate
+
+
+def subgroup(g: FinGroup, elems: Sequence[int]) -> tuple[FinGroup, dict[int, int]]:
+    """The subgroup of g on the given closed element set, with the id relabeling."""
+    elems = sorted(set(elems))
+    if 0 not in elems:
+        raise InputError("subgroup must contain the identity")
+    pos = {x: k for k, x in enumerate(elems)}
+    try:
+        mult = [[pos[g.mult[a][b]] for b in elems] for a in elems]
+    except KeyError:
+        raise InputError("element set is not closed under multiplication")
+    return FinGroup(mult, [g.names[x] for x in elems], check=False), pos
+
+
+def quotient(g: FinGroup, normal: Sequence[int]) -> tuple[FinGroup, tuple[int, ...]]:
+    """G / N for a normal subgroup N; returns the quotient and the projection."""
+    nset = frozenset(normal)
+    if 0 not in nset:
+        raise InputError("normal subgroup must contain identity")
+    for t in range(g.order):
+        if any(g.conj(t, x) not in nset for x in nset):
+            raise InputError("subgroup is not normal")
+    coset_of: dict[int, int] = {}
+    reps: list[int] = []
+    for a in range(g.order):
+        if a in coset_of:
+            continue
+        rep_id = len(reps)
+        for x in nset:
+            coset_of[g.mult[a][x]] = rep_id
+        reps.append(a)
+    k = len(reps)
+    mult = [[coset_of[g.mult[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
+    proj = tuple(coset_of[a] for a in range(g.order))
+    return FinGroup(mult, [g.names[r] for r in reps], check=False), proj
+
+
+def gamma_envelope(n: int) -> tuple[FinGroup, int, int, int]:
+    """The group Gamma_n of the paper as the catalog envelope of Z_n^{n,2}, for
+    n = 2, 3, 4: (group, eps, h, g), with g and h the images of the first
+    element of the first and second inner orbits and eps = [h, g]."""
+    name = f"Z_{n}^{{{n},2}}"
+    env, _ = catalog_envelope(name)
+    orb1, orb2 = Q.inner_orbits(Q.catalog(name))
+    g, h = env.images[orb1[0] - 1], env.images[orb2[0] - 1]
+    return env.group, env.group.commutator(h, g), h, g
+
+
+def isoclinism_witness(
+    g: FinGroup, h: FinGroup, bound: int = 64
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Brute-force search for a compatible pair of isomorphisms
+    (G/Z(G) -> H/Z(H), [G,G] -> [H,H]); None when no pair exists."""
+    if g.order > bound or h.order > bound:
+        raise ResourceCapError(f"isoclinism search bounded at order {bound}")
+    qg, projg = quotient(g, g.center())
+    qh, projh = quotient(h, h.center())
+    dg, posg = subgroup(g, g.commutator_subgroup())
+    dh, posh = subgroup(h, h.commutator_subgroup())
+    if qg.order != qh.order or dg.order != dh.order:
+        return None
+    # coset representatives: first preimage
+    repg = [projg.index(c) for c in range(qg.order)]
+    reph = [projh.index(c) for c in range(qh.order)]
+    for zeta in iter_isomorphisms(qg, qh):
+        constraint: dict[int, int] = {}
+        ok = True
+        for a in range(qg.order):
+            for b in range(qg.order):
+                cg = posg[g.commutator(repg[a], repg[b])]
+                ch = posh[h.commutator(reph[zeta[a]], reph[zeta[b]])]
+                if constraint.setdefault(cg, ch) != ch:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        eta = next(iter_isomorphisms(dg, dh, partial=constraint), None)
+        if eta is not None:
+            return zeta, eta
+    return None
 
 
 # -- the labeled census and the known connected quandles ----------------------

@@ -20,7 +20,9 @@ from oracles import (
     INDECOMPOSABLE_NAMES,
     enumerate_charseqs_dfs,
     factorization_identity_holds,
+    gamma_envelope,
     phi_support_expand,
+    subgroup,
     symmetrizer_report,
 )
 
@@ -41,7 +43,7 @@ def test_criterion_1_env_group_of_tetrahedral_quandle():
     assert g.order == 24
     assert max(len(c) for c in g.conjugacy_classes()) == 6
     assert g.has_abelian_centralizers()
-    comm, _ = g.subgroup(g.commutator_subgroup())
+    comm, _ = subgroup(g, g.commutator_subgroup())
     assert comm.order == 8
     assert not comm.is_abelian()
     involutions = [a for a in range(comm.order) if comm.element_order(a) == 2]
@@ -59,23 +61,21 @@ def test_criterion_2_injectivity_of_catalog_indecomposables():
 
 
 def test_criterion_3_gamma_arithmetic():
+    # Gamma_n as the catalog envelope of Z_n^{n,2}
     t0 = time.monotonic()
     for n in (2, 3, 4):
-        eps, h, g = E.gamma_generators(n)
-        hg = E.gamma_mul(h, g)
-        assert E.gamma_conj_class(g) == frozenset(
-            E.gamma_mul(E.gamma_eps(n, m), g) for m in range(n)
-        )
-        assert E.gamma_conj_class(h) == frozenset({h, E.gamma_mul(E.gamma_eps(n, -1), h)})
-        assert E.gamma_conj_class(hg) == frozenset(
-            E.gamma_mul(E.gamma_eps(n, m), hg) for m in range(n)
-        )
-        for x, fam in ((g, "g"), (hg, "hg"), (h, "h")):
-            gens = E.gamma_centralizer_generators(n, fam)
-            assert E.gamma_centralizer_check(x, gens)
-            assert all(E.gamma_mul(u, v) == E.gamma_mul(v, u) for u in gens for v in gens)
-        assert E.gamma_commutator_closure(n) == frozenset(E.gamma_eps(n, m) for m in range(n))
-    _report(3, "class lists, centralizers and commutator closure for n=2,3,4", time.monotonic() - t0, 1.0)
+        G, eps, h, g = gamma_envelope(n)
+        hg = G.mul(h, g)
+        assert hg == G.mul(G.mul(eps, g), h)
+        assert G.mul(g, eps) == G.mul(G.inv(eps), g)
+        powers = G.subgroup_closure([eps])
+        assert G.commutator_subgroup() == powers and len(powers) == n
+        assert set(G.conjugacy_class_of(g)) == {G.mul(e, g) for e in powers}
+        assert set(G.conjugacy_class_of(hg)) == {G.mul(e, hg) for e in powers}
+        assert set(G.conjugacy_class_of(h)) == {h, G.mul(G.inv(eps), h)}
+        for x in (g, hg, h):
+            assert G.is_abelian(G.centralizer(x))
+    _report(3, "relations, class lists, centralizers and commutator subgroup for n=2,3,4", time.monotonic() - t0, 1.0)
 
 
 def _diagonal_instances():

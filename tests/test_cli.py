@@ -324,6 +324,38 @@ def test_nonpositive_cap_or_budget_exit2(capsys, argv, value):
     assert f"{argv[-1]}: must be at least 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quandle", "--catalog", "(12)^S3", "--file", "missing.qnd"),
+        ("quandle", "--iso", "a.qnd", "b.qnd", "--catalog", "(12)^S3"),
+        ("quandle", "--file", "missing.qnd", "--iso", "a.qnd", "b.qnd"),
+        ("envgroup", "--catalog", "(12)^S3", "--file", "missing.qnd"),
+        ("envgroup", "--catalog", "(12)^S3", "--export-group", "--export-presentation"),
+        ("certify", "--catalog", "(12)^S3", "--file", "missing.qnd", "--orbit-v", "1"),
+    ],
+    ids=["quandle-catalog-file", "quandle-iso-catalog", "quandle-file-iso",
+         "envgroup-catalog-file", "envgroup-exports", "certify-catalog-file"],
+)
+def test_conflicting_input_flags_exit2(capsys, argv):
+    # argparse refuses the pair before any input is read
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("command", ["quandle", "envgroup", "certify"])
+def test_missing_input_flag_exit2(capsys, command):
+    argv = [command] + (["--orbit-v", "1"] if command == "certify" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "one of the arguments --catalog --file" in err
+
+
 def test_envgroup_coset_cap_exit3(capsys, tmp_path):
     # a free-ish quandle whose envelope quotient exceeds a tiny budget
     code, _ = run(capsys, "envgroup", "--catalog", "(1234)^S4", "--max-cosets", "10")

@@ -397,7 +397,7 @@ def s4_module(k):
 
 
 def sl23_module():
-    group = sl23()[0]
+    group = sl23()
     rep, c = group.names.index("[01;22]"), group.names.index("[02;11]")
     return Y.induced_module(group, rep, {c: C.CycNum.zeta(6)})
 

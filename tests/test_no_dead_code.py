@@ -30,43 +30,18 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qnichols"
 ENTRY = "cli.main"
 
-_ITEM_3 = "ROADMAP item 3 (the Weyl groupoid) will call it"
-_ITEM_5 = "ROADMAP item 5 and acceptance criterion 3 (the Gamma and T group models)"
+_ITEM_3 = "ROADMAP item 3 (the Weyl groupoid of a non-abelian pair) will call it"
+_ITEM_10 = "ROADMAP item 10 (the diagonal Weyl groupoid) will call it"
 
 #: Unreached definitions that stay, by qualname, with the reason.
 ALLOWLIST = {
     "cyclotomic.CycMatrix.transpose": _ITEM_3,
     "cyclotomic.CycMatrix.kernel_basis": _ITEM_3,
-    "weyl.eta": _ITEM_3,
-    "weyl.mat_mul": _ITEM_3,
-    "weyl.CartanPair": _ITEM_3,
-    "weyl.finite_type": _ITEM_3,
-    "weyl.detect_finite_object": _ITEM_3,
-    "envgroup.FinGroup.quotient": _ITEM_5,
-    "envgroup.FinGroup.subgroup": _ITEM_5,
-    "envgroup.iter_isomorphisms": _ITEM_5,
-    "envgroup.isoclinism_witness": _ITEM_5,
-    "envgroup.induced_hom": _ITEM_5,
-    "envgroup.GammaElem": _ITEM_5,
-    "envgroup.gamma_identity": _ITEM_5,
-    "envgroup.gamma_eps": _ITEM_5,
-    "envgroup.gamma_h": _ITEM_5,
-    "envgroup.gamma_g": _ITEM_5,
-    "envgroup.gamma_mul": _ITEM_5,
-    "envgroup.gamma_inv": _ITEM_5,
-    "envgroup.gamma_conj": _ITEM_5,
-    "envgroup.gamma_generators": _ITEM_5,
-    "envgroup.gamma_conj_class": _ITEM_5,
-    "envgroup.gamma_centralizer_check": _ITEM_5,
-    "envgroup.gamma_centralizer_generators": _ITEM_5,
-    "envgroup.gamma_center_generators": _ITEM_5,
-    "envgroup.gamma_commutator_closure": _ITEM_5,
-    "envgroup.TElem": _ITEM_5,
-    "envgroup.t_identity": _ITEM_5,
-    "envgroup.t_z": _ITEM_5,
-    "envgroup.t_gen": _ITEM_5,
-    "envgroup.t_mul": _ITEM_5,
-    "envgroup.t_inv": _ITEM_5,
+    "weyl.eta": _ITEM_10,
+    "weyl.mat_mul": _ITEM_10,
+    "weyl.CartanPair": _ITEM_10,
+    "weyl.finite_type": _ITEM_10,
+    "weyl.detect_finite_object": _ITEM_10,
     "nichols.adjoint_power_dim": "README quick start (tests/test_readme.py runs it)",
     "ydmod.transposition_module": "README quick start (tests/test_readme.py runs it)",
     "cyclotomic.CycNum.approx": "floating sanity oracle of the exact arithmetic",

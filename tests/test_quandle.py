@@ -5,7 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from qnichols import quandle as Q
 from qnichols.errors import InputError, ResourceCapError
-from qnichols.supportcalc import MAX_CENSUS_SIZE, census_splits, homogeneous_pieces
+from qnichols.supportcalc import (
+    MAX_CENSUS_SIZE,
+    _automorphisms_transitive,
+    census_splits,
+    homogeneous_pieces,
+)
 
 from oracles import (
     INDECOMPOSABLE_NAMES,
@@ -460,6 +465,23 @@ def test_homogeneous_pieces_match_the_labeled_census(k):
     }
     assert set(pieces) == want
     assert len(pieces) == (1, 1, 2, 3, 4, 7)[k - 1]
+
+
+def test_piece_transitivity_matches_the_automorphism_list():
+    # oracle: the images of 1 under the full list of automorphisms, on every
+    # crossed-set class that homogeneous_pieces filters, sizes 1-7
+    verdicts = set()
+    for k in range(1, 8):
+        crossed = [
+            q
+            for lengths in Q.fixed_point_types(k)
+            for q in Q.enumerate_quandles(k, lengths)
+            if Q.is_crossed_set(q)
+        ]
+        for q in Q.iso_class_representatives(crossed):
+            verdicts.add(_transitive(q))
+            assert _automorphisms_transitive(q) == _transitive(q), q.table
+    assert verdicts == {False, True}
 
 
 def _connected(pieces) -> list:

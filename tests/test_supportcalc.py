@@ -9,7 +9,14 @@ from qnichols import supportcalc as S
 from qnichols.errors import InputError, ResourceCapError
 from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 
-from oracles import census_classes, conj_word, labeled_quandles, phi_support_expand, two_orbit_census
+from oracles import (
+    census_classes,
+    conj_word,
+    induced_hom,
+    labeled_quandles,
+    phi_support_expand,
+    two_orbit_census,
+)
 
 
 def adjoin_fixed_point(q: Quandle) -> Quandle:
@@ -782,7 +789,7 @@ def test_envelope_post_filter_cuts_match_the_uncut_search():
                         assert group.element_order(f[x - 1]) % q.row_order(x) == 0, (q, name, f)
                     # the post-filter lemma: every embedding induces a group map
                     f_map = dict(zip(q.elements(), f))
-                    assert E.induced_hom(q, f_map, group.mul, group.inv) is not None, (q, f)
+                    assert induced_hom(q, f_map, group.mul, group.inv) is not None, (q, f)
                 # the root cut: some embedding sends 1 to the first element of its class
                 assert any(f[0] == pair[root_class][0] for f in maps), (q, name, pair)
             embedded += len(found) > 0

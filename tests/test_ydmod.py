@@ -23,7 +23,7 @@ def test_transposition_module_basic():
 
 
 def test_induced_module_trivial_character_central_rep():
-    g, _, _ = sl23()
+    g = sl23()
     centre = g.center()
     z = next(a for a in centre if a != 0)
     v = Y.induced_module(g, z, {x: C.one() for x in g.centralizer(z)})
@@ -43,7 +43,7 @@ def test_induced_module_gamma2_quotient_class_of_g():
 
 
 def test_induced_module_nonmultiplicative_character_rejected():
-    g, _, _ = sl23()
+    g = sl23()
     rep = next(c[0] for c in g.conjugacy_classes() if len(c) == 6)
     cent = g.centralizer(rep)
     # rep has order 4 in the quaternion subgroup; chi(rep) = -1 works but
@@ -53,7 +53,7 @@ def test_induced_module_nonmultiplicative_character_rejected():
 
 
 def test_character_must_generate():
-    g, _, _ = sl23()
+    g = sl23()
     rep = next(c[0] for c in g.conjugacy_classes() if len(c) == 4)
     with pytest.raises(InputError):
         Y.extend_character(g, g.centralizer(rep), {0: C.one()})
@@ -61,7 +61,7 @@ def test_character_must_generate():
 
 def _character_groups():
     yield from (catalog_envelope(name)[0].group for name in catalog_names()[1:])
-    yield sl23()[0]
+    yield sl23()
     yield Y.abelian_group([2, 4])
     yield Y.abelian_group([3, 3])
 
