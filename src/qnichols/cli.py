@@ -12,17 +12,25 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import cyclotomic, envgroup, nichols, quandle, supportcalc, weyl, ydmod
 from .errors import InputError, InvariantViolationError, ResourceCapError
+
+# Each command imports the layers it runs, so that a command compiles and
+# loads only those modules.
+if TYPE_CHECKING:
+    from .envgroup import FinGroup
+    from .quandle import Quandle
+    from .ydmod import YDModule
 
 
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
-def _load_quandle(args) -> quandle.Quandle:
+def _load_quandle(args) -> Quandle:
+    from . import quandle
+
     # argparse requires exactly one of --catalog and --file
     if args.file is not None:
         return quandle.Quandle.from_file(args.file)
@@ -33,6 +41,8 @@ def _load_quandle(args) -> quandle.Quandle:
 
 
 def cmd_quandle(args) -> int:
+    from . import quandle
+
     if args.iso:
         q1 = quandle.Quandle.from_file(args.iso[0])
         q2 = quandle.Quandle.from_file(args.iso[1])
@@ -56,12 +66,15 @@ def cmd_quandle(args) -> int:
 
 
 def cmd_envgroup(args) -> int:
+    from . import envgroup
+
     q = _load_quandle(args)
     if args.export_presentation:
         pres = envgroup.enveloping_presentation(q)
         sys.stdout.write(pres.to_text())
         return 0
-    env = envgroup.finite_enveloping_group(q, args.max_cosets)
+    max_cosets = envgroup.DEFAULT_MAX_COSETS if args.max_cosets is None else args.max_cosets
+    env = envgroup.finite_enveloping_group(q, max_cosets)
     g = env.group
     out = {
         "order": g.order,
@@ -80,6 +93,8 @@ def cmd_envgroup(args) -> int:
 
 
 def cmd_charseqs(args) -> int:
+    from . import weyl
+
     seqs = weyl.enumerate_charseqs(args.max_len)
     # every invariant check runs before the first byte, so a failure leaves stdout empty
     witnesses = [weyl._witness(s) for s in seqs]
@@ -92,6 +107,8 @@ def _rotation_blocks(seqs, format_block):
     """Yield format_block(sorted rotations) for each sequence, formatting each
     rotation class once: the block waits under every member of the class not
     yet reached, and each member takes it with one lookup."""
+    from . import weyl
+
     blocks: dict[tuple[int, ...], str] = {}
     for seq in seqs:
         block = blocks.pop(seq, None)
@@ -173,7 +190,9 @@ def _field(spec: dict, key: str, what: str):
     return spec[key]
 
 
-def _build_group(spec) -> envgroup.FinGroup:
+def _build_group(spec) -> FinGroup:
+    from . import envgroup, ydmod
+
     if spec is None:
         raise InputError("module pair descriptor needs a 'group' or 'group_ref' entry")
     if isinstance(spec, str):
@@ -195,7 +214,7 @@ def _build_group(spec) -> envgroup.FinGroup:
     raise InputError(f"unknown group type {kind!r}")
 
 
-def _resolve_element(group: envgroup.FinGroup, ref) -> int:
+def _resolve_element(group: FinGroup, ref) -> int:
     # JSON true/false would pass as the element ids 1/0
     if type(ref) is int:
         if not 0 <= ref < group.order:
@@ -207,7 +226,9 @@ def _resolve_element(group: envgroup.FinGroup, ref) -> int:
         raise InputError(f"unknown element {ref!r}: not an element id or name")
 
 
-def _build_module(group: envgroup.FinGroup, spec, role: str) -> ydmod.YDModule:
+def _build_module(group: FinGroup, spec, role: str) -> YDModule:
+    from . import cyclotomic, ydmod
+
     spec = _object(spec, role)
     rep = _resolve_element(group, _field(spec, "class_rep", role))
     character = {
@@ -217,7 +238,9 @@ def _build_module(group: envgroup.FinGroup, spec, role: str) -> ydmod.YDModule:
     return ydmod.induced_module(group, rep, character)
 
 
-def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
+def _load_module_pair(path: str) -> tuple[YDModule, YDModule]:
+    from . import cyclotomic, ydmod
+
     with open(path) as fh:
         spec = _object(json.load(fh), "module pair descriptor")
     if "diagonal" in spec:
@@ -233,8 +256,11 @@ def _load_module_pair(path: str) -> tuple[ydmod.YDModule, ydmod.YDModule]:
 
 
 def cmd_adjoint(args) -> int:
+    from . import nichols
+
     v, w = _load_module_pair(args.spec)
-    _emit(nichols.adjoint_power_report(v, w, args.m, cap=args.cap))
+    cap = nichols.DEFAULT_DIM_CAP if args.cap is None else args.cap
+    _emit(nichols.adjoint_power_report(v, w, args.m, cap=cap))
     return 0
 
 
@@ -246,6 +272,8 @@ def _parse_orbit(text: str) -> tuple[int, ...]:
 
 
 def cmd_certify(args) -> int:
+    from . import supportcalc
+
     q = _load_quandle(args)
     orbit_v = _parse_orbit(args.orbit_v)
     orbit_w = (
@@ -273,6 +301,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import supportcalc
+
     report = supportcalc.classify(
         n_max=args.n_max,
         branch=args.branch,
@@ -300,6 +330,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _Once(argparse.Action):
+    """Store an option's value and refuse a second occurrence (exit 2), where
+    argparse's own store action would keep the last one silently."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given_options", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "may be given only once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnichols",
@@ -309,16 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quandle = sub.add_parser("quandle", help="axioms, orbits and catalog matching")
     source = p_quandle.add_mutually_exclusive_group(required=True)
-    source.add_argument("--catalog")
-    source.add_argument("--file")
-    source.add_argument("--iso", nargs=2, metavar=("A", "B"))
+    source.add_argument("--catalog", action=_Once)
+    source.add_argument("--file", action=_Once)
+    source.add_argument("--iso", nargs=2, metavar=("A", "B"), action=_Once)
     p_quandle.set_defaults(func=cmd_quandle)
 
     p_env = sub.add_parser("envgroup", help="finite enveloping quotient analysis")
     source = p_env.add_mutually_exclusive_group(required=True)
-    source.add_argument("--catalog")
-    source.add_argument("--file")
-    p_env.add_argument("--max-cosets", type=_positive_int, default=envgroup.DEFAULT_MAX_COSETS)
+    source.add_argument("--catalog", action=_Once)
+    source.add_argument("--file", action=_Once)
+    p_env.add_argument("--max-cosets", type=_positive_int, action=_Once)
     export = p_env.add_mutually_exclusive_group()
     export.add_argument("--export-group", action="store_true")
     export.add_argument(
@@ -327,27 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_env.set_defaults(func=cmd_envgroup)
 
     p_seq = sub.add_parser("charseqs", help="characteristic sequence enumeration")
-    p_seq.add_argument("--max-len", type=int, required=True)
-    p_seq.add_argument("--emit", choices=("json", "csv"), default="json")
+    p_seq.add_argument("--max-len", type=int, required=True, action=_Once)
+    p_seq.add_argument("--emit", choices=("json", "csv"), default="json", action=_Once)
     p_seq.set_defaults(func=cmd_charseqs)
 
     p_adj = sub.add_parser("adjoint", help="adjoint power dimensions of a module pair")
-    p_adj.add_argument("--spec", required=True, help="module pair descriptor JSON")
-    p_adj.add_argument("--m", type=int, required=True)
-    p_adj.add_argument("--cap", type=_positive_int, default=nichols.DEFAULT_DIM_CAP)
+    p_adj.add_argument("--spec", required=True, help="module pair descriptor JSON", action=_Once)
+    p_adj.add_argument("--m", type=int, required=True, action=_Once)
+    p_adj.add_argument("--cap", type=_positive_int, action=_Once)
     p_adj.set_defaults(func=cmd_adjoint)
 
     p_cert = sub.add_parser("certify", help="combinatorial certificates for a role split")
     source = p_cert.add_mutually_exclusive_group(required=True)
-    source.add_argument("--catalog")
-    source.add_argument("--file")
-    p_cert.add_argument("--orbit-v", required=True, help="comma-separated elements")
-    p_cert.add_argument("--orbit-w", help="defaults to the complement")
+    source.add_argument("--catalog", action=_Once)
+    source.add_argument("--file", action=_Once)
+    p_cert.add_argument("--orbit-v", required=True, help="comma-separated elements", action=_Once)
+    p_cert.add_argument("--orbit-w", help="defaults to the complement", action=_Once)
     p_cert.set_defaults(func=cmd_certify)
 
     p_cls = sub.add_parser("classify", help="two-orbit support classification search")
-    p_cls.add_argument("--n-max", type=int, default=6)
-    p_cls.add_argument("--branch", choices=("both", "comm", "nc"), default="both")
+    p_cls.add_argument("--n-max", type=int, default=6, action=_Once)
+    p_cls.add_argument("--branch", choices=("both", "comm", "nc"), default="both", action=_Once)
     p_cls.add_argument("--allow-abelian", action="store_true")
     p_cls.add_argument("--full", action="store_true", help="include full rejection witnesses")
     p_cls.set_defaults(func=cmd_classify)

@@ -296,13 +296,6 @@ class FinGroup:
     def commutator(self, a: int, b: int) -> int:
         return self.mult[self.mult[a][b]][self.mult[self.inverse[a]][self.inverse[b]]]
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mult[x][a]
-            k += 1
-        return k
-
     def is_abelian(self, subset: Optional[Sequence[int]] = None) -> bool:
         elems = range(self.order) if subset is None else subset
         return all(self.mult[a][b] == self.mult[b][a] for a in elems for b in elems)

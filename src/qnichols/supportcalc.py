@@ -12,10 +12,10 @@ vanishing, and matches the survivors against the catalog.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
-from math import lcm
-from typing import Callable, Optional, Sequence
+from functools import cache, cached_property, lru_cache
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import InputError, ResourceCapError
 from .quandle import (
@@ -36,6 +36,9 @@ from .quandle import (
     match_catalog,
     subquandle,
 )
+
+if TYPE_CHECKING:  # imported where used, so that the census runs without envgroup
+    from .envgroup import FinGroup
 
 DegreeTuple = tuple[int, ...]  # (r_1, ..., r_m, s): V-slots then one W-slot
 
@@ -461,31 +464,101 @@ def envelope_post_filter(cand: Candidate) -> dict:
       every g in the envelope G (classes are closed under conjugation, and so
       is the law f(a > b) = f(a) f(b) f(a)^-1); G is transitive on each class,
       so some conjugate of f sends 1 there.
-    - Order prune: a pair of classes is skipped unless, for each role, the
-      lcm of the translation orders ord(phi_x) over the role divides the
-      element order of its class.  From f(phi_x^k(y)) = f(x)^k f(y) f(x)^-k
-      and injectivity of f, ord(phi_x) divides ord(f(x)).
+    - Cycle-type prune: a pair of classes (C_V, C_W) is searched only if, for
+      every x and each role R with class C_R, the cycle lengths of phi_x on R
+      are a sub-multiset of those of conjugation by x's class on C_R.  Let
+      c_g be conjugation by g.  An embedding f has f phi_x = c_f(x) f, so it
+      maps the phi_x-cycle of y onto the c_f(x)-cycle of f(y): c_f(x)^k fixes
+      f(y) exactly when phi_x^k fixes y, as f is injective, so the two cycles
+      have one length; and f maps distinct cycles onto distinct cycles.  Since
+      f(R) lies in C_R, the cycles of phi_x on R go to distinct cycles of
+      c_f(x) on C_R.  The cycle type of c_g on a class depends only on the
+      class of g: c_(hgh^-1) = c_h c_g c_h^-1, and c_h permutes the class.
+      The prune implies the size and order conditions: the lengths of phi_x
+      on R sum to |R| and those of c_g on C_R to |C_R|, so |R| <= |C_R|; and
+      every cycle length of c_g divides the order of g, so ord(phi_x), the
+      lcm of its cycle lengths on V and W, divides ord(f(x)).
     """
     from .envgroup import catalog_envelope
 
     q = cand.quandle
-    orbit_v, orbit_w = cand.ctx.orbit_v, cand.ctx.orbit_w
-    need_v = lcm(*(q.row_order(x) for x in orbit_v))
-    need_w = lcm(*(q.row_order(x) for x in orbit_w))
+    orbit_v = cand.ctx.orbit_v
+    need = _translation_cycle_types(q, (orbit_v, cand.ctx.orbit_w))
     for name in Z_QUANDLE_NAMES:
         env, classes = catalog_envelope(name)
         group = env.group
-        class_orders = [group.element_order(cls[0]) for cls in classes]
-        for (cls_v, ord_v), (cls_w, ord_w) in itertools.permutations(zip(classes, class_orders), 2):
-            if len(cls_v) < len(orbit_v) or len(cls_w) < len(orbit_w):
-                continue
-            if ord_v % need_v or ord_w % need_w:
-                continue
+        for cls_v, cls_w in _fitting_class_pairs(need, group, classes):
             roles = [cls_v if x in orbit_v else cls_w for x in q.elements()]
             roles[0] = roles[0][:1]
             if next(embeddings(q.table, group.conj, roles), None) is not None:
                 return {"eliminated": False, "embeds_in": name}
     return {"eliminated": True, "reason": "no conjugation-equivariant embedding into any catalog envelope"}
+
+
+CycleType = tuple[tuple[int, int], ...]  # (cycle length, number of cycles), by length
+
+
+def _cycle_type(step: Callable[[int], int], points: Sequence[int]) -> Counter:
+    """The number of cycles of each length of the permutation ``step`` on
+    ``points``, a set it maps onto itself."""
+    seen: set[int] = set()
+    lengths: Counter = Counter()
+    for p in points:
+        k = 0
+        while p not in seen:
+            seen.add(p)
+            p = step(p)
+            k += 1
+        if k:
+            lengths[k] += 1
+    return lengths
+
+
+def _translation_cycle_types(
+    q: Quandle, roles: tuple[Sequence[int], Sequence[int]]
+) -> list[list[set[CycleType]]]:
+    """need[r][s]: the distinct cycle types of phi_x on roles[s], over x in roles[r]."""
+
+    def phi(x: int) -> Callable[[int], int]:
+        row = q.table[x - 1]
+        return lambda y: row[y - 1]
+
+    return [
+        [{tuple(sorted(_cycle_type(phi(x), on).items())) for x in acting} for on in roles]
+        for acting in roles
+    ]
+
+
+@lru_cache(maxsize=len(Z_QUANDLE_NAMES))
+def _conjugation_cycle_types(group: FinGroup, classes: tuple[tuple[int, ...], ...]) -> list[list[Counter]]:
+    """have[i][j]: the cycle type of conjugation by an element of classes[i]
+    on classes[j], for one catalog envelope, kept per returned group."""
+    return [
+        [_cycle_type(lambda y, g=cls[0]: group.conj(g, y), on) for on in classes]
+        for cls in classes
+    ]
+
+
+def _fitting_class_pairs(
+    need: list[list[set[CycleType]]], group: FinGroup, classes: tuple[tuple[int, ...], ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (C_V, C_W) of distinct classes that pass the cycle-type
+    prune of ``envelope_post_filter``, in ``itertools.permutations`` order;
+    each class is tested against its own role before classes are paired."""
+    have = _conjugation_cycle_types(group, classes)
+
+    def fits(r: int, s: int, i: int, j: int) -> bool:
+        return all(have[i][j][k] >= c for t in need[r][s] for k, c in t)
+
+    ks = range(len(classes))
+    ok_v = [i for i in ks if fits(0, 0, i, i)]
+    ok_w = [j for j in ks if fits(1, 1, j, j)]
+    return [
+        (classes[i], classes[j])
+        for i in ok_v
+        for j in ok_w
+        if i != j and fits(0, 1, i, j) and fits(1, 0, j, i)
+    ]
 
 
 def classify(

@@ -208,6 +208,15 @@ def extend_character_all_pairs(
 # -- finite groups: isomorphisms, subgroups, quotients and isoclinism ----------
 
 
+def element_order(g: FinGroup, a: int) -> int:
+    """The order of the element a of g, by repeated multiplication."""
+    k, x = 1, a
+    while x != 0:
+        x = g.mult[x][a]
+        k += 1
+    return k
+
+
 def iter_isomorphisms(
     g: FinGroup, h: FinGroup, partial: Optional[dict[int, int]] = None
 ) -> Iterator[tuple[int, ...]]:
@@ -220,10 +229,10 @@ def iter_isomorphisms(
         return
     by_order: dict[int, list[int]] = {}
     for x in range(h.order):
-        by_order.setdefault(h.element_order(x), []).append(x)
+        by_order.setdefault(element_order(h, x), []).append(x)
     partial = partial or {}
     candidates = [
-        [partial[a]] if a in partial else by_order.get(g.element_order(a), [])
+        [partial[a]] if a in partial else by_order.get(element_order(g, a), [])
         for a in range(g.order)
     ]
     table = [[c + 1 for c in row] for row in g.mult]

@@ -346,6 +346,69 @@ def test_conflicting_input_flags_exit2(capsys, argv):
     assert "not allowed with argument" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quandle", "--catalog", "(12)^S3", "--catalog", "(123)^A4"),
+        ("envgroup", "--catalog", "(12)^S3", "--max-cosets", "50", "--max-cosets", "60"),
+        ("charseqs", "--max-len", "4", "--emit", "csv", "--emit", "json"),
+        ("adjoint", "--spec", "a.json", "--spec", "b.json", "--m", "1"),
+        ("certify", "--catalog", "(12)^S3", "--orbit-v", "1", "--orbit-v", "2"),
+        ("classify", "--n-max", "3", "--n-max", "3"),
+    ],
+    ids=["quandle", "envgroup", "charseqs", "adjoint", "certify", "classify"],
+)
+def test_repeated_option_exit2(capsys, argv):
+    # argparse's store action would keep the last value silently
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "may be given only once" in err and "Traceback" not in err
+
+
+# the qnichols modules each command loads, beside qnichols, qnichols.cli and qnichols.errors
+_LOADED = {
+    "quandle": ["quandle"],
+    "envgroup": ["envgroup", "quandle"],
+    "charseqs": ["weyl"],
+    "adjoint": ["cyclotomic", "envgroup", "nichols", "quandle", "ydmod"],
+    "certify": ["quandle", "supportcalc"],
+    "classify": ["quandle", "supportcalc"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quandle", "--catalog", "(12)^S3"),
+        ("envgroup", "--catalog", "(12)^S3"),
+        ("charseqs", "--max-len", "4"),
+        ("adjoint", "--spec", "pair.json", "--m", "1"),
+        ("certify", "--catalog", "Z_2^{2,2}", "--orbit-v", "1,3"),
+        ("classify", "--n-max", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_loads_only_its_layers(tmp_path, s3pair_spec, argv):
+    # the adjoint case reads s3pair_spec, tmp_path / "pair.json"
+    script = (
+        "import sys\n"
+        "from qnichols import cli\n"
+        f"code = cli.main({list(argv)!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith('qnichols')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = ["qnichols", "qnichols.cli", "qnichols.errors"]
+    loaded += [f"qnichols.{m}" for m in _LOADED[argv[0]]]
+    assert proc.stderr.decode().splitlines()[-1] == repr(sorted(loaded))
+
+
 @pytest.mark.parametrize("command", ["quandle", "envgroup", "certify"])
 def test_missing_input_flag_exit2(capsys, command):
     argv = [command] + (["--orbit-v", "1"] if command == "certify" else [])

@@ -12,6 +12,7 @@ from qnichols.quandle import Z_QUANDLE_NAMES, Quandle, catalog
 from oracles import (
     census_classes,
     conj_word,
+    element_order,
     induced_hom,
     labeled_quandles,
     phi_support_expand,
@@ -751,10 +752,10 @@ def test_envelope_post_filter_verdicts_pinned_n6():
 
 
 def _post_filter_without_cuts(cand: S.Candidate):
-    """envelope_post_filter's search with neither cut: every class pair that
-    passes the size check, every candidate of every element.  The verdict
-    (the first envelope with an embedding), and every embedding found, keyed
-    by (name, class of V, class of W)."""
+    """envelope_post_filter's search with neither cut: every class pair large
+    enough to hold the roles injectively, every candidate of every element.
+    The verdict (the first envelope with an embedding), and every embedding
+    found, keyed by (name, class of V, class of W)."""
     q, ctx = cand.quandle, cand.ctx
     verdict, found = _ELIMINATED, {}
     for name in Z_QUANDLE_NAMES:
@@ -786,7 +787,12 @@ def test_envelope_post_filter_cuts_match_the_uncut_search():
                 # the order lemma: ord(phi_x) divides ord(f(x))
                 for f in maps:
                     for x in q.elements():
-                        assert group.element_order(f[x - 1]) % q.row_order(x) == 0, (q, name, f)
+                        assert element_order(group, f[x - 1]) % q.row_order(x) == 0, (q, name, f)
+                        # the cycle-type lemma: f maps each phi_x-cycle onto a
+                        # cycle of conjugation by f(x), of the same length
+                        for y in q.elements():
+                            image = [f[z - 1] for z in _orbit(lambda z: q.op(x, z), y)]
+                            assert image == _orbit(lambda g: group.conj(f[x - 1], g), f[y - 1])
                     # the post-filter lemma: every embedding induces a group map
                     f_map = dict(zip(q.elements(), f))
                     assert induced_hom(q, f_map, group.mul, group.inv) is not None, (q, f)
@@ -794,6 +800,57 @@ def test_envelope_post_filter_cuts_match_the_uncut_search():
                 assert any(f[0] == pair[root_class][0] for f in maps), (q, name, pair)
             embedded += len(found) > 0
     assert embedded > 0
+
+
+def _orbit(step, start) -> list:
+    """start, step(start), ... up to the first return to start."""
+    out = [start]
+    while (y := step(out[-1])) != start:
+        out.append(y)
+    return out
+
+
+@pytest.mark.slow
+def test_cycle_type_prune_skips_no_embedding_n8():
+    # no class pair that the prune skips, on any role split of size <= 8, has
+    # an embedding in the uncut search
+    skipped = 0
+    for q in two_orbit_census():
+        for ctx in _role_splits(q):
+            need = S._translation_cycle_types(q, (ctx.orbit_v, ctx.orbit_w))
+            for name in Z_QUANDLE_NAMES:
+                env, classes = E.catalog_envelope(name)
+                searched = S._fitting_class_pairs(need, env.group, classes)
+                for cls_v, cls_w in itertools.permutations(classes, 2):
+                    if (cls_v, cls_w) in searched:
+                        continue
+                    skipped += 1
+                    roles = [cls_v if x in ctx.orbit_v else cls_w for x in q.elements()]
+                    found = next(Q.embeddings(q.table, env.group.conj, roles), None)
+                    assert found is None, (q, ctx.orbit_v, name, cls_v, cls_w)
+    assert skipped == 27_556
+
+
+def test_envelope_post_filter_search_count_n6(monkeypatch):
+    # the order prune alone ran 404 searches on these 30 role splits
+    cands = [
+        S.Candidate(q, ctx, "comm" if ctx.commuting else "nc")
+        for q in two_orbit_census()
+        if q.n <= 6
+        for ctx in _role_splits(q)
+    ]
+    assert len(cands) == 30
+    searches = []
+    embeddings = S.embeddings
+
+    def counting(*args):
+        searches.append(args)
+        return embeddings(*args)
+
+    monkeypatch.setattr(S, "embeddings", counting)
+    for cand in cands:
+        S.envelope_post_filter(cand)
+    assert 0 < len(searches) <= 404 // 4
 
 
 def _eliminated_candidate() -> S.Candidate:
