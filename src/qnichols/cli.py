@@ -197,12 +197,13 @@ def _build_group(spec) -> FinGroup:
         raise InputError("module pair descriptor needs a 'group' or 'group_ref' entry")
     if isinstance(spec, str):
         # short references: "sl23" or "enveloping:<catalog name>"
-        if spec == "sl23":
-            return envgroup.sl23()
         kind, _, name = spec.partition(":")
-        if kind == "enveloping" and name:
-            return envgroup.catalog_envelope(name)[0].group
-        raise InputError(f"unknown group reference {spec!r}")
+        if spec == "sl23":
+            spec = {"type": "sl23"}
+        elif kind == "enveloping" and name:
+            spec = {"type": "enveloping", "quandle": name}
+        else:
+            raise InputError(f"unknown group reference {spec!r}")
     kind = _object(spec, "group").get("type")
     if kind == "enveloping":
         name = _field(spec, "quandle", "group")

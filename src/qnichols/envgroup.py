@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
-from .quandle import Quandle, catalog, inner_orbits
+from .quandle import Quandle, catalog, inner_orbits, orbits
 
 Word = tuple[int, ...]  # signed 1-based generator indices
 
@@ -336,16 +336,9 @@ class FinGroup:
         )
 
     def subgroup_closure(self, gens: Sequence[int]) -> tuple[int, ...]:
-        out = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mult[x][g], self.mult[x][self.inverse[g]]):
-                    if y not in out:
-                        out.add(y)
-                        frontier.append(y)
-        return tuple(sorted(out))
+        # right multiplication by g permutes the group, so no inverse step is needed
+        (closure,) = orbits([0], lambda x: [self.mult[x][g] for g in gens])
+        return tuple(sorted(closure))
 
     def commutator_subgroup(self) -> tuple[int, ...]:
         comms = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}

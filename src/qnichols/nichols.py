@@ -274,12 +274,6 @@ def graded_rank(
     return sum(r for _, r in per_block), per_block
 
 
-def adjoint_power_dim(v: YDModule, w: YDModule, m: int) -> int:
-    """Dimension of the m-th braided adjoint image (ad V)^m(W); m = 0 returns
-    dim W.  See ``adjoint_power_report``."""
-    return adjoint_power_report(v, w, m)["dim"]
-
-
 def adjoint_power_report(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) -> dict:
     """Per-degree dimensions of (ad V)^m(W) for the CLI, degrees named by their
     group elements, read off the x-space (``_x_components``).

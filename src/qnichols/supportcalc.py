@@ -34,6 +34,7 @@ from .quandle import (
     # unused here; bench/layers.py patches supportcalc.isomorphic by name
     isomorphic,
     match_catalog,
+    orbits,
     subquandle,
 )
 
@@ -208,17 +209,10 @@ def _size_bound(ctx: TwoOrbitContext, m: int) -> int:
 
 
 def _w_translation_orbit(ctx: TwoOrbitContext, g: int) -> set[int]:
-    """The orbit of g under the translations by the W orbit and their inverses."""
-    q = ctx.quandle
-    out, frontier = {g}, [g]
-    while frontier:
-        x = frontier.pop()
-        for y in ctx.orbit_w:
-            for z in (q.op(y, x), q.op_right(x, y)):
-                if z not in out:
-                    out.add(z)
-                    frontier.append(z)
-    return out
+    """The orbit of g under the group the translations by the W orbit generate."""
+    rows = [ctx.quandle.row(y) for y in ctx.orbit_w]
+    (orbit,) = orbits([g], lambda x: [row[x - 1] for row in rows])
+    return set(orbit)
 
 
 def _swaps_one_pair(ctx: TwoOrbitContext, s: int) -> bool:
@@ -226,14 +220,6 @@ def _swaps_one_pair(ctx: TwoOrbitContext, s: int) -> bool:
     q = ctx.quandle
     moved = [r for r in ctx.orbit_v if q.op(s, r) != r]
     return len(moved) == 2 and q.op(s, moved[0]) == moved[1] and q.op(s, moved[1]) == moved[0]
-
-
-def _cycle(q: Quandle, g: int, h: int) -> list[int]:
-    """The cycle of h under the translation by g."""
-    out = [h]
-    while (y := q.op(g, out[-1])) != h:
-        out.append(y)
-    return out
 
 
 #: The six necessary conclusions that vanishing of the second adjoint power
@@ -255,7 +241,7 @@ NC_ITEMS: dict[str, Callable[[TwoOrbitContext], bool]] = {
         {x for x in ctx.orbit_v if ctx.quandle.op(x, y) != y} == {g, ctx.quandle.op(h, g)}
         for g in ctx.orbit_v
         for h in ctx.orbit_w
-        for y in _cycle(ctx.quandle, g, h)
+        for y in orbits([h], lambda z: [ctx.quandle.op(g, z)])[0]
     ),
 }
 
@@ -501,17 +487,7 @@ CycleType = tuple[tuple[int, int], ...]  # (cycle length, number of cycles), by 
 def _cycle_type(step: Callable[[int], int], points: Sequence[int]) -> Counter:
     """The number of cycles of each length of the permutation ``step`` on
     ``points``, a set it maps onto itself."""
-    seen: set[int] = set()
-    lengths: Counter = Counter()
-    for p in points:
-        k = 0
-        while p not in seen:
-            seen.add(p)
-            p = step(p)
-            k += 1
-        if k:
-            lengths[k] += 1
-    return lengths
+    return Counter(len(cycle) for cycle in orbits(points, lambda p: [step(p)]))
 
 
 def _translation_cycle_types(

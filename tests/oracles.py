@@ -205,6 +205,22 @@ def extend_character_all_pairs(
     return values
 
 
+# -- closures ------------------------------------------------------------------
+
+
+def stack_closure(start: int, step: Callable[[int], Iterable[int]]) -> set[int]:
+    """Every point reachable from start by repeated steps, by a stack search.
+    Given each map and its inverse, it needs no finiteness argument: the
+    oracle for the forward-only orbits of ``quandle.orbits``."""
+    out, frontier = {start}, [start]
+    while frontier:
+        for y in step(frontier.pop()):
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
 # -- finite groups: isomorphisms, subgroups, quotients and isoclinism ----------
 
 

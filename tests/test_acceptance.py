@@ -107,7 +107,7 @@ def test_criterion_5_dimension_cross_check():
     checked = 0
     for v, w in pairs:
         for m in (1, 2, 3):
-            assert N.adjoint_power_dim(v, w, m) == symmetrizer_report(v, w, m)["dim"]
+            assert N.x_space_dim(v, w, m) == symmetrizer_report(v, w, m)["dim"]
             checked += 1
     _report(5, f"{checked} recursion-vs-symmetrizer dimension agreements", time.monotonic() - t0, 60.0)
 
@@ -176,7 +176,7 @@ def test_criterion_6_certificate_soundness():
     realized = 0
     for (table, ov, ow, m), ctx in sorted(certified_contexts.items()):
         v, w = _realize(ctx)
-        assert N.adjoint_power_dim(v, w, m) > 0
+        assert N.x_space_dim(v, w, m) > 0
         realized += 1
     assert realized > 0
     _report(

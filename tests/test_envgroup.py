@@ -21,6 +21,7 @@ from oracles import (
     iter_isomorphisms,
     labeled_quandles,
     quotient,
+    stack_closure,
     subgroup,
 )
 
@@ -296,6 +297,19 @@ def test_class_size_matches_orbit():
             imgs = {env.images[i - 1] for i in orb}
             assert len(imgs) == len(orb)
             assert set(env.group.conjugacy_class_of(env.images[orb[0] - 1])) == imgs
+
+
+def test_subgroup_closure_matches_the_closure_under_inverses():
+    # oracle: the stack search that also multiplies by each generator's inverse
+    names = [name for name in catalog_names() if name != "trivial(n)"]
+    for group in [E.catalog_envelope(name)[0].group for name in names] + [E.sl23()]:
+        reps = [cls[0] for cls in group.conjugacy_classes()]
+        gen_sets = [[g] for g in range(group.order)] + [[a, b] for a in reps for b in reps]
+        for gens in gen_sets + [list(group.generator_ids)]:
+            want = stack_closure(
+                0, lambda x: [group.mul(x, y) for g in gens for y in (g, group.inv(g))]
+            )
+            assert group.subgroup_closure(gens) == tuple(sorted(want)), (group, gens)
 
 
 def test_env_group_decomposing_product():

@@ -87,15 +87,14 @@ def test_t1_diagonal_scalar():
 def test_t1_zero_when_double_braiding_trivial():
     v, w = diag(NEG, ONE)
     assert N.t_operator(v, w, 1).is_zero()
-    assert N.adjoint_power_dim(v, w, 1) == 0
     assert N.x_space_dim(v, w, 1) == 0
 
 
 def test_quantum_serre_vanishing_pattern():
     # q11 = -1, q12 q21 = -1: first adjoint power nonzero, second vanishes
     v, w = diag(NEG, NEG)
-    assert N.adjoint_power_dim(v, w, 1) == 1
-    assert N.adjoint_power_dim(v, w, 2) == 0
+    assert N.x_space_dim(v, w, 1) == 1
+    assert N.x_space_dim(v, w, 2) == 0
     st2 = N.symmetrized_t(v, w, 2)
     assert st2.is_zero()
     st1 = N.symmetrized_t(v, w, 1)
@@ -132,7 +131,6 @@ def test_tensor_cap(s3pair):
 def test_x0_is_w(s3pair):
     v, w = s3pair
     assert N.x_space_dim(v, w, 0) == w.dim
-    assert N.adjoint_power_dim(v, w, 0) == w.dim
 
 
 def test_factorization_identity_diagonal():
@@ -152,14 +150,14 @@ def test_factorization_identity_s3(s3pair):
 def test_adjoint_equals_symmetrizer_rank_s3(s3pair):
     v, w = s3pair
     for m in (1, 2, 3):
-        assert N.adjoint_power_dim(v, w, m) == symmetrizer_report(v, w, m)["dim"]
+        assert N.x_space_dim(v, w, m) == symmetrizer_report(v, w, m)["dim"]
 
 
 def test_adjoint_dims_s3_values(s3pair):
     # frozen from the exact matrix computation; the Nichols algebra of this
     # module is finite dimensional so high powers vanish
     v, w = s3pair
-    assert [N.adjoint_power_dim(v, w, m) for m in (1, 2, 3)] == [4, 3, 0]
+    assert [N.x_space_dim(v, w, m) for m in (1, 2, 3)] == [4, 3, 0]
 
 
 def test_graded_rank_matches_plain_rank(s3pair):
@@ -219,7 +217,7 @@ def test_invalid_args(s3pair):
     with pytest.raises(InputError):
         N.t_operator(v, w, 0)
     with pytest.raises(InputError):
-        N.adjoint_power_dim(v, w, -1)
+        N.x_space_dim(v, w, -1)
 
 
 @pytest.fixture(scope="module")
@@ -274,7 +272,6 @@ def test_every_entry_point_bounds_the_power_before_building():
             lambda: N.phi_operator(v, w, k),
             lambda: N.symmetrized_t(v, w, k),
             lambda: factorization_identity_holds(v, w, k),
-            lambda: N.adjoint_power_dim(v, w, k),
             lambda: N.adjoint_power_report(v, w, k),
             lambda: N.x_space_dim(v, w, k),
         ):

@@ -42,7 +42,6 @@ ALLOWLIST = {
     "weyl.CartanPair": _ITEM_10,
     "weyl.finite_type": _ITEM_10,
     "weyl.detect_finite_object": _ITEM_10,
-    "nichols.adjoint_power_dim": "README quick start (tests/test_readme.py runs it)",
     "ydmod.transposition_module": "README quick start (tests/test_readme.py runs it)",
     "cyclotomic.CycNum.approx": "floating sanity oracle of the exact arithmetic",
 }

@@ -105,6 +105,40 @@ def test_orbits():
     assert len(Q.inner_orbits(Q.catalog("Z_4^{4,2}"))) > 1
 
 
+def _merged_orbits(n: int, perms) -> set[frozenset]:
+    """Oracle: blocks of {1..n}, each point's block merged with its images'
+    blocks until nothing changes."""
+    block = {x: frozenset([x]) for x in range(1, n + 1)}
+    changed = True
+    while changed:
+        changed = False
+        for x in range(1, n + 1):
+            for p in perms:
+                if block[p[x - 1]] != block[x]:
+                    merged = block[x] | block[p[x - 1]]
+                    block.update(dict.fromkeys(merged, merged))
+                    changed = True
+    return set(block.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbits_match_a_merging_oracle(data):
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    perms = data.draw(st.lists(st.permutations(range(1, n + 1)), max_size=4))
+    points = data.draw(st.permutations(range(1, n + 1)))
+    found = Q.orbits(points, lambda x: [p[x - 1] for p in perms])
+    assert sum(map(len, found)) == n
+    assert set(map(frozenset, found)) == _merged_orbits(n, perms)
+    reached: set[int] = set()
+    for orbit in found:
+        assert orbit[0] == next(x for x in points if x not in reached)
+        reached.update(orbit)
+    for p in perms:
+        for cycle in Q.orbits(points, lambda x: [p[x - 1]]):
+            assert [p[x - 1] for x in cycle] == cycle[1:] + cycle[:1]
+
+
 def test_round_trip_left_right():
     for q in CATALOG:
         for i in q.elements():
@@ -152,15 +186,34 @@ def test_isomorphic_z222_normal_form():
     assert iso is not None and iso.map in found
 
 
+@pytest.mark.parametrize(
+    "target, f",
+    [
+        ("trivial(3)", (1, 1, 1)),  # not a permutation
+        ("trivial(3)", (1, 2, 4)),  # not the target's elements
+        ("trivial(3)", (1, 2)),  # too short
+        ("trivial(3)", (1, 2, 3, 3)),  # too long
+        ("trivial(2)", (1, 2, 2)),  # sizes differ
+    ],
+)
+def test_quandle_iso_refuses_a_map_that_is_not_a_bijection(target, f):
+    with pytest.raises(InputError):
+        Q.QuandleIso(Q.catalog("trivial(3)"), Q.catalog(target), f)
+
+
 def test_isomorphic_none():
     assert Q.isomorphic(Q.catalog("(12)^S3"), Q.catalog("trivial(3)")) is None
     assert Q.isomorphic(Q.catalog("Aff(5,2)"), Q.catalog("Aff(5,3)")) is None
 
 
-def test_text_and_json_round_trip():
-    for q in (Q.catalog("Z_3^{3,2}"), Q.catalog("trivial(1)")):
-        assert Q.Quandle.from_text(q.to_text()) == q
-        assert Q.Quandle.from_json_dict(q.to_json_dict()) == q
+def test_text_and_json_forms_parse():
+    z = Q.catalog("Z_3^{3,2}")
+    text = "5\n1 3 2 5 4\n3 2 1 5 4\n2 1 3 5 4\n2 3 1 4 5\n3 1 2 4 5\n"
+    rows = [[1, 3, 2, 5, 4], [3, 2, 1, 5, 4], [2, 1, 3, 5, 4], [2, 3, 1, 4, 5], [3, 1, 2, 4, 5]]
+    assert Q.Quandle.from_text(text) == z
+    assert Q.Quandle.from_json_dict({"size": 5, "table": rows}) == z
+    assert Q.Quandle.from_text("1\n1\n") == Q.catalog("trivial(1)")
+    assert Q.Quandle.from_json_dict({"size": 1, "table": [[1]]}) == Q.catalog("trivial(1)")
 
 
 def test_malformed_text():

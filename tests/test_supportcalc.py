@@ -16,6 +16,7 @@ from oracles import (
     induced_hom,
     labeled_quandles,
     phi_support_expand,
+    stack_closure,
     two_orbit_census,
 )
 
@@ -227,6 +228,24 @@ def test_nc_battery_transposition_failure():
     # V role on the three-cycle side: the W translations restrict to 3-cycles
     report = S.nc_necessary_conditions(ctx_for("Z_3^{3,2}", (1, 2, 3), (4, 5)))
     assert report["orbit_v_commutative"] == "fail"  # S3-orbit is not commutative
+
+
+def test_w_translation_orbit_matches_the_closure_with_inverse_translations():
+    # oracle: the stack search that also applies each inverse translation y < x
+    checked = 0
+    for q in (q for q in two_orbit_census() if q.n <= 6):
+        orb1, orb2 = Q.inner_orbits(q)
+        for ov, ow in ((orb1, orb2), (orb2, orb1)):
+            ctx = S.TwoOrbitContext(q, ov, ow)
+            if ctx.commuting:
+                continue
+            for g in q.elements():
+                want = stack_closure(
+                    g, lambda x: [z for y in ow for z in (q.op(y, x), q.op_right(x, y))]
+                )
+                assert S._w_translation_orbit(ctx, g) == want, (q, ov, g)
+            checked += 1
+    assert checked > 0
 
 
 def test_nc_decomposition_rules():
