@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -228,6 +228,8 @@ class FinGroup:
 
     Element 0 is the identity.  Tables produced by coset enumeration are
     BFS-standardized, so identical presentations give identical groups.
+    The structure analysis walks the group from ``generators``, so it costs
+    |G| times the number of generators, not |G|^2.
     """
 
     def __init__(
@@ -241,6 +243,8 @@ class FinGroup:
         self.order = len(self.mult)
         self.names = tuple(names) if names is not None else tuple(f"g{k}" for k in range(self.order))
         self.generator_ids = tuple(generator_ids)
+        if any(not 0 <= s < self.order for s in self.generator_ids):
+            raise InputError(f"generator ids must lie in 0..{self.order - 1}: {self.generator_ids}")
         if check:
             self._validate()
         self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
@@ -300,27 +304,46 @@ class FinGroup:
         elems = range(self.order) if subset is None else subset
         return all(self.mult[a][b] == self.mult[b][a] for a in elems for b in elems)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set that starts with ``generator_ids``: they alone
+        when their closure is the whole group, else followed by the least
+        element not yet reached, as often as needed (each one at least
+        doubles the closure, so at most log2 |G| are added)."""
+        gens = list(self.generator_ids)
+        reached = set(self.subgroup_closure(gens))
+        while len(reached) < self.order:
+            gens.append(next(a for a in range(self.order) if a not in reached))
+            reached = set(self.subgroup_closure(gens))
+        return tuple(gens)
+
+    def _conjugates(self, a: int) -> list[int]:
+        """s a s^-1 for each of the generators s."""
+        m, inv = self.mult, self.inverse
+        return [m[m[s][a]][inv[s]] for s in self.generators]
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        # conjugation by the generators generates conjugation by G
+        return tuple(tuple(sorted(cls)) for cls in orbits(range(self.order), self._conjugates))
+
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        classes = []
-        for a in range(self.order):
-            if a not in seen:
-                cls = self.conjugacy_class_of(a)
-                seen.update(cls)
-                classes.append(cls)
-        return classes
+        """The conjugacy classes, each sorted, in order of least element."""
+        return list(self._classes)
 
     def conjugacy_class_of(self, a: int) -> tuple[int, ...]:
-        return tuple(sorted({self.conj(t, a) for t in range(self.order)}))
+        (cls,) = orbits([a], self._conjugates)
+        return tuple(sorted(cls))
 
     def centralizer(self, a: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.order) if self.mult[x][a] == self.mult[a][x])
 
     def center(self) -> tuple[int, ...]:
+        """The elements that commute with every generator."""
         return tuple(
             x
             for x in range(self.order)
-            if all(self.mult[x][y] == self.mult[y][x] for y in range(self.order))
+            if all(self.mult[x][s] == self.mult[s][x] for s in self.generators)
         )
 
     def has_abelian_centralizers(self) -> bool:
@@ -330,9 +353,7 @@ class FinGroup:
         conjugate and one element per non-central class (a class of size
         greater than one) decides."""
         return all(
-            self.is_abelian(self.centralizer(cls[0]))
-            for cls in self.conjugacy_classes()
-            if len(cls) > 1
+            self.is_abelian(self.centralizer(cls[0])) for cls in self._classes if len(cls) > 1
         )
 
     def subgroup_closure(self, gens: Sequence[int]) -> tuple[int, ...]:
@@ -341,8 +362,17 @@ class FinGroup:
         return tuple(sorted(closure))
 
     def commutator_subgroup(self) -> tuple[int, ...]:
-        comms = {self.commutator(a, b) for a in range(self.order) for b in range(self.order)}
-        return self.subgroup_closure(sorted(comms))
+        """The normal closure of the commutators of pairs of generators: the
+        quotient by it is generated by commuting images, so it is abelian.
+
+        The walk from the identity multiplies on the right by those
+        commutators and conjugates by the generators.  What it reaches is
+        closed under conjugation by G, so with x it reaches
+        x g c g^-1 = g (g^-1 x g c) g^-1 for every g and commutator c."""
+        gens = self.generators
+        comms = sorted({self.commutator(s, t) for s in gens for t in gens})
+        (closure,) = orbits([0], lambda x: [self.mult[x][c] for c in comms] + self._conjugates(x))
+        return tuple(sorted(closure))
 
     def to_json_dict(self) -> dict:
         return {

@@ -163,11 +163,10 @@ def _act(vecs: list[Vector], v: YDModule, w: YDModule, h: int) -> list[Vector]:
 def _least_conjugate(group: FinGroup, d: int) -> tuple[int, int]:
     """(r, h): the least element r of the conjugacy class of d, and an h with
     h r h^-1 = d, found by conjugating with the generators."""
-    gens = group.generator_ids or range(group.order)
     moved = {d: 0}  # x -> some g with g d g^-1 = x
     frontier = [d]
     for x in frontier:
-        for s in gens:
+        for s in group.generators:
             y = group.conj(s, x)
             if y not in moved:
                 moved[y] = group.mul(s, moved[x])

@@ -44,8 +44,7 @@ class YDModule:
             if (a.rows, a.cols) != (self.dim, self.dim):
                 raise InputError("action matrix shape mismatch")
         # multiplicativity: checking generators against everything extends by induction
-        gens = g.generator_ids or tuple(range(g.order))
-        for s in gens:
+        for s in g.generators:
             for t in range(g.order):
                 if self.actions[s] @ self.actions[t] != self.actions[g.mul(s, t)]:
                     raise InputError("action matrices are not multiplicative")

@@ -7,7 +7,7 @@ with ``test_``), and test modules import it as ``oracles``.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from qnichols import nichols as N
@@ -231,6 +231,35 @@ def element_order(g: FinGroup, a: int) -> int:
         x = g.mult[x][a]
         k += 1
     return k
+
+
+def symmetric_group_table(n: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The permutations of 0..n-1 in lexicographic order, the identity first,
+    and their multiplication table: (p q)(i) = p(q(i))."""
+    perms = list(permutations(range(n)))
+    return perms, [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+
+
+def class_by_all_conjugates(g: FinGroup, a: int) -> tuple[int, ...]:
+    """The conjugacy class of a, conjugating by every element of g."""
+    return tuple(sorted({g.mult[g.mult[t][a]][g.inverse[t]] for t in range(g.order)}))
+
+
+def center_by_all_elements(g: FinGroup) -> tuple[int, ...]:
+    """The elements of g that commute with every element."""
+    n = g.order
+    return tuple(x for x in range(n) if all(g.mult[x][y] == g.mult[y][x] for y in range(n)))
+
+
+def commutator_subgroup_by_all_pairs(g: FinGroup) -> tuple[int, ...]:
+    """Every commutator a b a^-1 b^-1 of g, closed under products."""
+    n, m, inv = g.order, g.mult, g.inverse
+    out = {m[m[a][b]][m[inv[a]][inv[b]]] for a in range(n) for b in range(n)}
+    while True:
+        more = {m[x][y] for x in out for y in out} - out
+        if not more:
+            return tuple(sorted(out))
+        out |= more
 
 
 def iter_isomorphisms(

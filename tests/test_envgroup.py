@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnichols import envgroup as E
 from qnichols import ydmod as Y
@@ -13,6 +14,9 @@ from qnichols.supportcalc import two_orbit_candidates
 
 from oracles import (
     INDECOMPOSABLE_NAMES,
+    center_by_all_elements,
+    class_by_all_conjugates,
+    commutator_subgroup_by_all_pairs,
     element_order,
     enveloping_presentation_cyclic,
     gamma_envelope,
@@ -23,6 +27,7 @@ from oracles import (
     quotient,
     stack_closure,
     subgroup,
+    symmetric_group_table,
 )
 
 
@@ -356,6 +361,53 @@ def test_sl23_structure():
     assert g.order == 24
     assert sorted(len(c) for c in g.conjugacy_classes()) == [1, 1, 4, 4, 4, 4, 6]
     assert g.has_abelian_centralizers()
+
+
+def _assert_analysis_matches_the_oracles(g: E.FinGroup) -> None:
+    # generators: generator_ids, then each time the least element not yet reached
+    gens, k = g.generators, len(g.generator_ids)
+    assert gens[:k] == g.generator_ids
+    for i in range(k, len(gens)):
+        reached = set(g.subgroup_closure(gens[:i]))
+        assert len(reached) < g.order and gens[i] == min(set(range(g.order)) - reached)
+    assert g.subgroup_closure(gens) == tuple(range(g.order))
+    classes = [class_by_all_conjugates(g, a) for a in range(g.order)]
+    assert [g.conjugacy_class_of(a) for a in range(g.order)] == classes
+    assert g.conjugacy_classes() == sorted(set(classes))
+    assert g.center() == center_by_all_elements(g)
+    assert g.commutator_subgroup() == commutator_subgroup_by_all_pairs(g)
+
+
+def test_group_analysis_matches_the_all_element_definitions():
+    envelopes = [E.catalog_envelope(name)[0].group for name in catalog_names() if name != "trivial(n)"]
+    abelian = [Y.abelian_group([2, 4]), Y.abelian_group([1])]
+    for g in envelopes + abelian + [E.sl23()]:
+        _assert_analysis_matches_the_oracles(g)
+    # enveloping and abelian groups keep exactly their generator_ids
+    for g in envelopes + abelian:
+        assert g.generators == g.generator_ids, g
+
+
+_S4_MULT = symmetric_group_table(4)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), max_size=3))
+def test_group_analysis_from_any_generator_ids(ids):
+    # the ids may be empty, repeat, or generate a proper subgroup
+    g = E.FinGroup(_S4_MULT, generator_ids=ids)
+    _assert_analysis_matches_the_oracles(g)
+    if g.subgroup_closure(ids) == tuple(range(24)):
+        assert g.generators == tuple(ids)
+
+
+def test_fingroup_refuses_generator_ids_outside_the_group():
+    z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    for ids in ((7,), (-1,), (0, 3)):
+        for check in (True, False):
+            with pytest.raises(InputError, match="generator ids"):
+                E.FinGroup(z3, generator_ids=ids, check=check)
+    assert E.FinGroup(z3, generator_ids=(2,)).generators == (2,)
 
 
 def test_fingroup_validation():

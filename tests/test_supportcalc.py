@@ -829,6 +829,28 @@ def _orbit(step, start) -> list:
     return out
 
 
+def test_translation_cycle_types_match_per_x_orbit_cycle_types_n7():
+    # oracle: the cycle type of each phi_x on each role from ``orbits``,
+    # reduced to the largest count of each length over x (Counter | is max)
+    def maxima(q, acting, on):
+        most = Counter()
+        for x in acting:
+            most |= Counter(len(c) for c in Q.orbits(on, lambda y: [q.op(x, y)]))
+        return dict(most)
+
+    splits = 0
+    for q in two_orbit_census():
+        if q.n > 7:
+            break
+        for ctx in _role_splits(q):
+            roles = (ctx.orbit_v, ctx.orbit_w)
+            need = S._translation_cycle_types(q, roles)
+            assert need.sizes == (len(ctx.orbit_v), len(ctx.orbit_w))
+            assert need.maxima == [[maxima(q, a, on) for on in roles] for a in roles], (q, roles)
+            splits += 1
+    assert splits == 2 * len(S.two_orbit_candidates(7))
+
+
 @pytest.mark.slow
 def test_cycle_type_prune_skips_no_embedding_n8():
     # no class pair that the prune skips, on any role split of size <= 8, has

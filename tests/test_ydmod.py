@@ -4,11 +4,11 @@ import pytest
 
 from qnichols import cyclotomic as C
 from qnichols import ydmod as Y
-from qnichols.envgroup import catalog_envelope, finite_enveloping_group, sl23
+from qnichols.envgroup import FinGroup, catalog_envelope, finite_enveloping_group, sl23
 from qnichols.errors import InputError
 from qnichols.quandle import Quandle, catalog, catalog_names, match_catalog
 
-from oracles import element_order, extend_character_all_pairs
+from oracles import cyc_matrix, element_order, extend_character_all_pairs, symmetric_group_table
 
 
 def test_transposition_module_basic():
@@ -57,6 +57,21 @@ def test_character_must_generate():
     rep = next(c[0] for c in g.conjugacy_classes() if len(c) == 4)
     with pytest.raises(InputError):
         Y.extend_character(g, g.centralizer(rep), {0: C.one()})
+
+
+def test_module_multiplicativity_is_checked_beyond_generator_ids():
+    # generator_ids name only the 3-cycle (1,2,0), which generates A3.  The
+    # action z3 on the odd permutations and 1 on the rest passes the check of
+    # that 3-cycle against every element, but a transposition t has
+    # action(t) action(t) = z3^2 != 1 = action(t t)
+    perms, mult = symmetric_group_table(3)
+    g = FinGroup(mult, generator_ids=(perms.index((1, 2, 0)),))
+    odd = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    actions = [cyc_matrix([[C.CycNum.zeta(3) if o else 1]]) for o in odd]
+    t = perms.index((1, 0, 2))
+    assert actions[t] @ actions[t] != actions[g.mul(t, t)]
+    with pytest.raises(InputError, match="multiplicative"):
+        Y.YDModule(g, (0,), actions)
 
 
 def _character_groups():
