@@ -13,7 +13,6 @@ from one sparse pivot-row elimination, ``echelon_rows``.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -240,11 +239,6 @@ class CycNum:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
-
-    def approx(self) -> complex:
-        """Floating evaluation at exp(2 pi i / N); a sanity net, not a truth source."""
-        z = cmath.exp(2j * cmath.pi / self.N)
-        return sum(float(c) * z**k for k, c in enumerate(self.coeffs))
 
 
 def _coerce(value) -> CycNum:

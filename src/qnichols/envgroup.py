@@ -331,9 +331,23 @@ class FinGroup:
         """The conjugacy classes, each sorted, in order of least element."""
         return list(self._classes)
 
+    def conjugators(self, a: int) -> dict[int, int]:
+        """x -> g with g a g^-1 = x, for every x in the class of a: one
+        breadth-first walk from a that conjugates by the generators, each g
+        the product of the generators along the walk."""
+        m, inv = self.mult, self.inverse
+        moved = {a: 0}
+        frontier = [a]
+        for x in frontier:  # grows as the walk reaches new conjugates
+            for s in self.generators:
+                y = m[m[s][x]][inv[s]]
+                if y not in moved:
+                    moved[y] = m[s][moved[x]]
+                    frontier.append(y)
+        return moved
+
     def conjugacy_class_of(self, a: int) -> tuple[int, ...]:
-        (cls,) = orbits([a], self._conjugates)
-        return tuple(sorted(cls))
+        return tuple(sorted(self.conjugators(a)))
 
     def centralizer(self, a: int) -> tuple[int, ...]:
         return tuple(x for x in range(self.order) if self.mult[x][a] == self.mult[a][x])

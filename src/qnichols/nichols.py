@@ -23,7 +23,6 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycMatrix, CycNum, echelon_rows, one
-from .envgroup import FinGroup
 from .errors import InputError, InvariantViolationError, ResourceCapError
 from .ydmod import YDModule, braiding
 
@@ -158,21 +157,6 @@ def _act(vecs: list[Vector], v: YDModule, w: YDModule, h: int) -> list[Vector]:
         return out
 
     return [_apply(x, image) for x in vecs]
-
-
-def _least_conjugate(group: FinGroup, d: int) -> tuple[int, int]:
-    """(r, h): the least element r of the conjugacy class of d, and an h with
-    h r h^-1 = d, found by conjugating with the generators."""
-    moved = {d: 0}  # x -> some g with g d g^-1 = x
-    frontier = [d]
-    for x in frontier:
-        for s in group.generators:
-            y = group.conj(s, x)
-            if y not in moved:
-                moved[y] = group.mul(s, moved[x])
-                frontier.append(y)
-    r = min(moved)
-    return r, group.inv(moved[r])
 
 
 def _degrees(factors: Sequence[YDModule]) -> list[int]:
@@ -310,7 +294,11 @@ def _x_components(v: YDModule, w: YDModule, m: int, cap: int = DEFAULT_DIM_CAP) 
     memo: dict = {}
     for k in range(1, m + 1):
         degrees = {group.mul(g, d) for g in set(v.degree) for d in level}
-        classes = {e: _least_conjugate(group, e) for e in degrees}
+        classes = {}  # e -> (r, h): r the least conjugate of e, h r h^-1 = e
+        for e in degrees:
+            moved = group.conjugators(e)
+            r = min(moved)
+            classes[e] = r, group.inv(moved[r])
         found: dict[int, list[Vector]] = {}
         for r in sorted({r for r, _ in classes.values()}):
             pivots = echelon_rows(

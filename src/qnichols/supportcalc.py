@@ -228,8 +228,9 @@ def _swaps_one_pair(ctx: TwoOrbitContext, s: int) -> bool:
 NC_ITEMS: dict[str, Callable[[TwoOrbitContext], bool]] = {
     "orbit_v_commutative": lambda ctx: is_commutative_subset(ctx.quandle, ctx.orbit_v),
     "orbits_distinct": lambda ctx: set(ctx.orbit_v) != set(ctx.orbit_w),
-    "orbit_v_generated_by_w_translations": lambda ctx: all(
-        _w_translation_orbit(ctx, g) == set(ctx.orbit_v) for g in ctx.orbit_v
+    # V is a union of orbits of the W translations, so one orbit decides
+    "orbit_v_generated_by_w_translations": lambda ctx: (
+        _w_translation_orbit(ctx, ctx.orbit_v[0]) == set(ctx.orbit_v)
     ),
     "w_translations_restrict_to_transpositions": lambda ctx: all(
         _swaps_one_pair(ctx, s) for s in ctx.orbit_w
@@ -389,7 +390,7 @@ def _w_parts(ctx: TwoOrbitContext) -> dict:
 
 #: Each branch's rejection battery in the paper's order, as (rule id, check):
 #: check(ctx) is the rule's witness when the rule rejects ctx, else None.
-#: Three non-commuting checks of the paper never reject here, so they are left out:
+#: Four checks of the non-commuting branch never reject here, so they are left out:
 #: (a) orbits_distinct: a TwoOrbitContext's roles are disjoint and nonempty.
 #: (b) squares_fix_across: w_translations_restrict_to_transpositions runs first, and
 #:     once each h in W swaps one pair of V and fixes the rest, h > (h > g) = g.
@@ -398,6 +399,14 @@ def _w_parts(ctx: TwoOrbitContext) -> dict:
 #:     p1 to move p, which a commutative V forbids; at slot 2 it needs s to move p
 #:     with p not in {p1, s^-1 > p1}, but s moves only p1 and s > p1 = s^-1 > p1,
 #:     since s swaps them.
+#: (d) the W size bound at m = 3, |W| > 6: at y = h the movers item says that the V
+#:     elements moving h are exactly {g, h > g}, for every g in V; so every g in V
+#:     moves every h in W, and |V| <= 2.  adW4 works on the swapped roles: insert p
+#:     in W at the last slot of a certified (..., r) with m + 1 entries, r in V.  The
+#:     moving hypothesis r > p != p holds, no fixing hypothesis applies, and the
+#:     exclusions rule out at most 2m values of p: the m earlier entries and the m
+#:     values conj_inv_word(known[j:], known[j-1]).  So |W| >= 7 > 2m for every
+#:     m <= 3 makes level four nonempty, and nc-adW4-certificate rejects first.
 RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
     "comm": (
         ("comm-size-suppV-m1", _size_rule("v", 1)),
@@ -419,7 +428,7 @@ RULES: dict[str, tuple[tuple[str, Rule], ...]] = {
             lambda ctx: None if (t := find_adw4_certificate_nc(ctx)) is None else {"tuple": list(t)},
         ),
         # no V size rule: orbit_v_commutative makes size_bound_check(ctx, 1) None or False
-        ("nc-size-suppW-m3", _size_rule("w", 3)),
+        # no W size rule: (d)
     ),
 }
 

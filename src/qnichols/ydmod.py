@@ -48,8 +48,10 @@ class YDModule:
             for t in range(g.order):
                 if self.actions[s] @ self.actions[t] != self.actions[g.mul(s, t)]:
                     raise InputError("action matrices are not multiplicative")
-        # YD compatibility: s maps the degree-d component into degree s d s^-1
-        for s in range(g.order):
+        # YD compatibility: s maps the degree-d component into degree s d s^-1,
+        # checked on the generators: every action is a product of theirs, and a
+        # nonzero entry of such a product maps d to d conjugated by the product
+        for s in g.generators:
             for i, j, v in self.actions[s].iter_entries():
                 if self.degree[i] != g.conj(s, self.degree[j]):
                     raise InputError("action violates the grading compatibility")
@@ -94,15 +96,14 @@ def induced_module(
 ) -> YDModule:
     """Simple module attached to a conjugacy class and a centralizer character.
 
-    Basis indexed by the class (ascending element ids); coset representatives
-    u_t are minimal in the element order, making all matrices reproducible."""
+    Basis indexed by the class (ascending element ids).  The coset representatives
+    u_t, with u_t rep u_t^-1 = t, come from ``FinGroup.conjugators``: not minimal
+    in the element order, but the walk is fixed, so all matrices are reproducible."""
     centralizer = group.centralizer(class_rep)
     chi = extend_character(group, centralizer, character)
-    cls = sorted(group.conjugacy_class_of(class_rep))
+    reps = group.conjugators(class_rep)
+    cls = sorted(reps)
     index = {t: k for k, t in enumerate(cls)}
-    reps = {}
-    for t in cls:
-        reps[t] = next(u for u in range(group.order) if group.conj(u, class_rep) == t)
     actions = []
     for s in range(group.order):
         m = CycMatrix(len(cls), len(cls))
@@ -192,25 +193,18 @@ def diagonal_pair(
 ) -> tuple[YDModule, YDModule]:
     """Two one-dimensional modules realizing a given diagonal braiding matrix.
 
-    Build Z_N x Z_N with N the lcm of the scalar orders; V sits in degree
-    (1,0) with character q11^x q21^y, W in degree (0,1) with q12^x q22^y, so
-    c(v (x) w) = q12 w (x) v and c(w (x) v) = q21 v (x) w.
+    Build Z_N x Z_N with N the lcm of the scalar orders; V is induced from the
+    degree g_v = (1,0) with character q11^x q21^y at x g_v + y g_w, W from
+    g_w = (0,1) with q12^x q22^y, so c(v (x) w) = q12 w (x) v and
+    c(w (x) v) = q21 v (x) w.  At N = 1 every q is 1 and g_v = g_w.
     """
     n = lcm(*(root_of_unity_order(q) for q in (q11, q12, q21, q22)))
     group = abelian_group([n, n])
-    g_v = group.generator_ids[0]
-    g_w = group.generator_ids[1]
-
-    def dim1(deg: int, chi_gv: CycNum, chi_gw: CycNum) -> YDModule:
-        actions = []
-        for a in range(group.order):
-            x, y = divmod(a, n)
-            m = CycMatrix(1, 1)
-            m.set(0, 0, chi_gv**x * chi_gw**y)
-            actions.append(m)
-        return YDModule(group, [deg], actions)
-
-    return dim1(g_v, q11, q21), dim1(g_w, q12, q22)
+    g_v, g_w = group.generator_ids
+    return (
+        induced_module(group, g_v, {g_v: q11, g_w: q21}),
+        induced_module(group, g_w, {g_v: q12, g_w: q22}),
+    )
 
 
 def transposition_module(sign: Optional[CycNum] = None) -> YDModule:

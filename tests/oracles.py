@@ -5,6 +5,7 @@ No command runs these, so they live beside the tests rather than in
 with ``test_``), and test modules import it as ``oracles``.
 """
 
+import cmath
 from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
@@ -46,6 +47,13 @@ def matrix_sum(*terms: CycMatrix) -> CycMatrix:
         for i, j, v in m.iter_entries():
             out.set(i, j, out.get(i, j) + v)
     return out
+
+
+def approx(x: CycNum) -> complex:
+    """Floating evaluation of x at exp(2 pi i / N): a sanity net for the
+    exact arithmetic, not a truth source."""
+    z = cmath.exp(2j * cmath.pi / x.N)
+    return sum(float(c) * z**k for k, c in enumerate(x.coeffs))
 
 
 def stores_no_zero(m: CycMatrix) -> bool:
@@ -91,7 +99,7 @@ def symmetrizer_report(v: YDModule, w: YDModule, m: int, cap: int = N.DEFAULT_DI
     N._check_cap(v.dim**m * w.dim, cap)
     factors = (v,) * m + (w,)
     deg = N._degrees(factors)
-    rep = {d: N._least_conjugate(v.group, d)[0] for d in set(deg)}
+    rep = {d: min(v.group.conjugators(d)) for d in set(deg)}
     blocks: dict[int, list[tuple[int, ...]]] = {r: [] for r in rep.values()}
     for t, d in zip(product(*(range(f.dim) for f in factors)), deg):
         if rep[d] == d:

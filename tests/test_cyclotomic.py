@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qnichols import cyclotomic as C
 from qnichols.errors import InputError, InvariantViolationError, ResourceCapError
 
-from oracles import cyc_matrix, stores_no_zero
+from oracles import approx, cyc_matrix, stores_no_zero
 
 
 def test_phi_polys():
@@ -143,9 +143,9 @@ def test_field_axioms(a, b, c):
 @given(scalars, scalars)
 def test_embedding_consistency(a, b):
     # numeric evaluation agrees with exact arithmetic (sanity net)
-    exact = (a * b + a).approx()
-    approx = a.approx() * b.approx() + a.approx()
-    assert abs(exact - approx) < 1e-9
+    exact = approx(a * b + a)
+    floating = approx(a) * approx(b) + approx(a)
+    assert abs(exact - floating) < 1e-9
 
 
 def assert_normal_form(x: C.CycNum) -> None:

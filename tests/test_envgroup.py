@@ -373,6 +373,10 @@ def _assert_analysis_matches_the_oracles(g: E.FinGroup) -> None:
     assert g.subgroup_closure(gens) == tuple(range(g.order))
     classes = [class_by_all_conjugates(g, a) for a in range(g.order)]
     assert [g.conjugacy_class_of(a) for a in range(g.order)] == classes
+    for a in range(g.order):
+        moved = g.conjugators(a)
+        assert tuple(sorted(moved)) == classes[a]
+        assert all(g.conj(h, a) == x for x, h in moved.items()), a
     assert g.conjugacy_classes() == sorted(set(classes))
     assert g.center() == center_by_all_elements(g)
     assert g.commutator_subgroup() == commutator_subgroup_by_all_pairs(g)
@@ -399,6 +403,14 @@ def test_group_analysis_from_any_generator_ids(ids):
     _assert_analysis_matches_the_oracles(g)
     if g.subgroup_closure(ids) == tuple(range(24)):
         assert g.generators == tuple(ids)
+
+
+def test_conjugators_conjugate_beyond_generator_ids():
+    # generator_ids name only the transposition (0,2,1) of S3: conjugation
+    # by it alone swaps (1,0,2) and (2,1,0) and never reaches (0,2,1)
+    perms, mult = symmetric_group_table(3)
+    g = E.FinGroup(mult, generator_ids=(perms.index((0, 2, 1)),))
+    _assert_analysis_matches_the_oracles(g)
 
 
 def test_fingroup_refuses_generator_ids_outside_the_group():

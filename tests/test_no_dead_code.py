@@ -43,7 +43,6 @@ ALLOWLIST = {
     "weyl.finite_type": _ITEM_10,
     "weyl.detect_finite_object": _ITEM_10,
     "ydmod.transposition_module": "README quick start (tests/test_readme.py runs it)",
-    "cyclotomic.CycNum.approx": "floating sanity oracle of the exact arithmetic",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

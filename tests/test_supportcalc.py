@@ -390,12 +390,6 @@ _RULE_PINS = [
     ),
 ]
 
-# The rule id that no context of that search reaches: nc-size-suppW-m3 needs
-# |W| >= 7 beside |V| >= 2, so size >= 9, and on the one family known to meet
-# its premises the adW4 certificate rejects first
-# (test_evaluate_candidate_past_the_census_size).
-_UNREACHED = {"nc-size-suppW-m3"}
-
 
 def _evaluate(table, ov, ow) -> tuple:
     q = Quandle(table)
@@ -405,7 +399,7 @@ def _evaluate(table, ov, ow) -> tuple:
 
 def test_rule_pins_cover_every_rule_id():
     ids = [rule_id for rules in S.RULES.values() for rule_id, _ in rules]
-    assert sorted(ids) == sorted([pin[3] for pin in _RULE_PINS] + list(_UNREACHED))
+    assert sorted(ids) == sorted(pin[3] for pin in _RULE_PINS)
 
 
 @pytest.mark.parametrize(
@@ -415,15 +409,48 @@ def test_evaluate_candidate_first_rejecting_rule_pinned(table, ov, ow, rule_id, 
     assert _evaluate(table, ov, ow) == (rule_id, witness)
 
 
-def test_evaluate_candidate_past_the_census_size():
+@pytest.mark.parametrize("p", [7, 9, 11, 13])
+def test_evaluate_candidate_past_the_census_size(p):
     assert Q.isomorphic(dihedral_with_swapped_pair(3), catalog("Z_3^{3,2}")) is not None
-    q = dihedral_with_swapped_pair(7)
+    q = dihedral_with_swapped_pair(p)
     assert q.n > S.MAX_CENSUS_SIZE
-    ov, ow = (8, 9), tuple(range(1, 8))
-    # |W| = 7 exceeds the bound 6 of nc-size-suppW-m3, but adW4 rejects first
-    size_rule = dict(S.RULES["nc"])["nc-size-suppW-m3"]
-    assert size_rule(S.TwoOrbitContext(q, ov, ow)) == {"orbit_w_size": 7, "bound": 6}
-    assert _evaluate(q.table, ov, ow) == ("nc-adW4-certificate", {"tuple": [1, 2, 5, 3, 9]})
+    ov, ow = (p + 1, p + 2), tuple(range(1, p + 1))
+    # |W| = p exceeds the W size bound 6 at m = 3, and adW4 rejects (note (d))
+    assert S.size_bound_check(S.TwoOrbitContext(q, ov, ow).swap(), 3) is True
+    assert _evaluate(q.table, ov, ow) == ("nc-adW4-certificate", {"tuple": [1, 2, 5, 3, p + 2]})
+
+
+def test_movers_item_leaves_a_v_pair_that_moves_every_w():
+    # note (d) beside RULES: past the first four battery rules, |V| = 2 and
+    # every element of V moves every element of W
+    battery = [check for rule_id, check in S.RULES["nc"] if rule_id.startswith("nc-battery:")]
+    assert len(battery) == 4
+    passing = 0
+    for q in two_orbit_census():
+        for ctx in _role_splits(q):
+            if ctx.commuting or any(check(ctx) is not None for check in battery):
+                continue
+            passing += 1
+            assert len(ctx.orbit_v) == 2, ctx
+            assert all(q.op(v, w) != w for v in ctx.orbit_v for w in ctx.orbit_w), ctx
+    assert passing == 12
+
+
+def test_one_w_translation_orbit_decides_the_generation_item():
+    # V is a union of orbits of the group the W translations generate, so the
+    # orbit of its first point is V exactly when every point's orbit is
+    def all_points(ctx):
+        return all(S._w_translation_orbit(ctx, g) == set(ctx.orbit_v) for g in ctx.orbit_v)
+
+    one_orbit = S.NC_ITEMS["orbit_v_generated_by_w_translations"]
+    verdicts = Counter()
+    quandles = [*two_orbit_census(), *(q for n in range(1, 6) for q in census_classes(n))]
+    for q in quandles:
+        for ctx in _role_splits(q):
+            verdict = one_orbit(ctx)
+            assert verdict == all_points(ctx), ctx
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_evaluate_candidate_survivors():

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -74,6 +75,31 @@ def test_module_multiplicativity_is_checked_beyond_generator_ids():
         Y.YDModule(g, (0,), actions)
 
 
+def test_grading_wrong_on_a_generator_is_refused():
+    # Z2 swapping basis vectors of degrees 0 and 1 is multiplicative, but in
+    # an abelian group the generator must keep every degree
+    g = Y.abelian_group([2])
+    swap = cyc_matrix([[0, 1], [1, 0]])
+    with pytest.raises(InputError, match="grading"):
+        Y.YDModule(g, (0, 1), [C.CycMatrix.identity(2), swap])
+
+
+def test_grading_wrong_off_the_generators_is_refused_as_non_multiplicative():
+    # the identity keeps every degree, which a non-generator s moves, so the
+    # grading fails at s alone; the multiplicativity check refuses the module
+    v = Y.transposition_module()
+    g = v.group
+    s = next(
+        a
+        for a in range(g.order)
+        if a not in g.generators and any(g.conj(a, d) != d for d in v.degree)
+    )
+    actions = list(v.actions)
+    actions[s] = C.CycMatrix.identity(v.dim)
+    with pytest.raises(InputError, match="multiplicative"):
+        Y.YDModule(g, v.degree, actions)
+
+
 def _character_groups():
     yield from (catalog_envelope(name)[0].group for name in catalog_names()[1:])
     yield sl23()
@@ -139,6 +165,35 @@ def test_braiding_diagonal_scalars():
     assert Y.braiding(V, V).get(0, 0) == q11
     # double braiding is the scalar q12*q21 = 1 here
     assert Y.braiding(W, V) @ Y.braiding(V, W) == C.CycMatrix.identity(1)
+
+
+_NEG = C.CycNum.rational(-1)
+_DIAGONAL_SCALARS = {  # conductor -> (q11, q12, q21, q22)
+    1: (C.one(),) * 4,
+    2: (_NEG, C.one(), _NEG, _NEG),
+    3: (C.CycNum.zeta(3), C.CycNum.zeta(3, 2), C.one(), C.CycNum.zeta(3)),
+    4: (C.CycNum.zeta(4), _NEG, C.CycNum.zeta(4, 3), C.one()),
+    12: (C.CycNum.zeta(12, 5), C.CycNum.zeta(4), C.CycNum.zeta(3), _NEG),
+}
+
+
+@pytest.mark.parametrize("n", list(_DIAGONAL_SCALARS))
+def test_diagonal_pair_acts_by_its_characters(n):
+    # at x g_v + y g_w, V acts by q11^x q21^y and W by q12^x q22^y
+    q11, q12, q21, q22 = _DIAGONAL_SCALARS[n]
+    v, w = Y.diagonal_pair(q11, q12, q21, q22)
+    g = v.group
+    assert w.group is g and g.order == n * n
+    g_v, g_w = g.generator_ids
+    assert (v.degree, w.degree) == ((g_v,), (g_w,))
+    seen = set()
+    for x in range(n):
+        for y in range(n):
+            a = reduce(g.mul, [g_v] * x + [g_w] * y, 0)
+            seen.add(a)
+            assert v.actions[a] == cyc_matrix([[q11**x * q21**y]]), (x, y)
+            assert w.actions[a] == cyc_matrix([[q12**x * q22**y]]), (x, y)
+    assert seen == set(range(g.order))
 
 
 def test_braiding_group_mismatch():
