@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
@@ -103,22 +104,37 @@ def cmd_charseqs(args) -> int:
     return 0
 
 
-def _rotation_blocks(seqs, format_block):
-    """Yield format_block(sorted rotations) for each sequence, formatting each
-    rotation class once: the block waits under every member of the class not
-    yet reached, and each member takes it with one lookup."""
+def _by_rotation_class(seqs, format_class):
+    """Yield (shared, own) for each sequence, formatting each rotation class
+    once, on the first member met: format_class(entries, order) returns the
+    text the members share and the own text of each rotation k, entries[k:] +
+    entries[:k]; order lists k by sorted rotation.  The texts wait under every
+    member of the class not yet reached, and each member takes its pair with
+    one lookup."""
     from . import weyl
 
-    blocks: dict[tuple[int, ...], str] = {}
+    pending: dict[tuple[int, ...], tuple[str, str]] = {}
     for seq in seqs:
-        block = blocks.pop(seq, None)
-        if block is None:
+        found = pending.pop(seq, None)
+        if found is None:
             rotations = weyl._rotations(seq)
-            block = format_block(sorted(rotations))
-            for rot in rotations:
-                blocks[rot] = block
-            del blocks[seq]
-        yield block
+            order = sorted(range(len(seq)), key=rotations.__getitem__)
+            shared, texts = format_class(seq, order)
+            for rot, text in zip(rotations, texts):
+                pending[rot] = (shared, text)
+            found = pending.pop(seq)
+        yield found
+
+
+def _rotation_texts(entries, sep: str) -> list[str]:
+    """The text of each rotation entries[k:] + entries[:k], its entries joined
+    by sep: each is a slice of the doubled sequence, joined by sep once."""
+    items = list(map(str, entries)) * 2
+    doubled = sep.join(items)
+    step = len(sep)
+    starts = list(accumulate([len(item) + step for item in items], initial=0))
+    n = len(entries)
+    return [doubled[starts[k] : starts[k + n] - step] for k in range(n)]
 
 
 # Records are joined into writes of at least this many characters: with an
@@ -142,13 +158,16 @@ def _write_chunked(out, pieces) -> None:
         out.write("".join(buffer))
 
 
-def _json_ints(values, indent: str) -> str:
-    """The items of a nonempty int array as json.dumps(indent=2) lays them out."""
-    return indent + (",\n" + indent).join(map(str, values))
-
-
-def _json_rotations(rotations) -> str:
-    return ",\n".join(f"      [\n{_json_ints(r, '        ')}\n      ]" for r in rotations)
+def _json_class(entries, order) -> tuple[str, list[str]]:
+    """The record head up to the first "seq" entry, and each rotation's "seq"
+    entries, as json.dumps(indent=2) lays them out."""
+    texts = _rotation_texts(entries, ",\n        ")
+    rotations = "\n      ],\n      [\n        ".join([texts[k] for k in order])
+    head = (
+        f'  {{\n    "rotations": [\n      [\n        {rotations}\n      ]\n    ],\n'
+        '    "seq": [\n      '
+    )
+    return head, _rotation_texts(entries, ",\n      ")
 
 
 def _json_records(seqs, witnesses):
@@ -157,25 +176,29 @@ def _json_records(seqs, witnesses):
     if not seqs:
         yield "[]\n"
         return
-    sep = "[\n"
-    for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _json_rotations)):
-        yield (
-            f'{sep}  {{\n    "rotations": [\n{rotations}\n    ],\n'
-            f'    "seq": [\n{_json_ints(seq, "      ")}\n    ],\n'
-            f'    "witness": {witness}\n  }}'
-        )
-        sep = ",\n"
-    yield "\n]\n"
+    tail = {w: f'\n    ],\n    "witness": {w}\n  }},\n' for w in set(witnesses)}
+    tails = [tail[w] for w in witnesses]
+    tails[-1] = tails[-1][:-2] + "\n]\n"
+    yield "[\n"
+    for (head, seq), tail in zip(_by_rotation_class(seqs, _json_class), tails):
+        yield head
+        yield seq
+        yield tail
 
 
-def _csv_rotations(rotations) -> str:
-    return "|".join(" ".join(map(str, r)) for r in rotations)
+def _csv_class(entries, order) -> tuple[str, list[str]]:
+    """The rotations field with the line end, and each rotation's entries."""
+    texts = _rotation_texts(entries, " ")
+    return "|".join([texts[k] for k in order]) + "\n", texts
 
 
 def _csv_records(seqs, witnesses):
     """One line per sequence: entries;witness;rotations, rotations split by '|'."""
-    for seq, witness, rotations in zip(seqs, witnesses, _rotation_blocks(seqs, _csv_rotations)):
-        yield f"{' '.join(map(str, seq))};{witness};{rotations}\n"
+    middle = {w: f";{w};" for w in set(witnesses)}
+    for (rotations, seq), w in zip(_by_rotation_class(seqs, _csv_class), witnesses):
+        yield seq
+        yield middle[w]
+        yield rotations
 
 
 def _object(value, what: str) -> dict:

@@ -11,7 +11,6 @@ catalog envelopes of the two-orbit quandles and as ``sl23()``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -25,18 +24,18 @@ Word = tuple[int, ...]  # signed 1-based generator indices
 DEFAULT_MAX_COSETS = 100_000
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names and relator words."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        ng = len(self.generators)
-        for w in self.relators:
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        ng = len(generators)
+        for w in relators:
             if any(v == 0 or abs(v) > ng for v in w):
                 raise InputError(f"relator index out of range: {w}")
+        self.generators = generators
+        self.relators = relators
 
     def to_text(self) -> str:
         lines = [" ".join(self.generators)]
@@ -403,13 +402,16 @@ class FinGroup:
 # -- enveloping groups ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EnvelopingGroup:
     """Finite enveloping quotient of a quandle with the generator images."""
 
-    group: FinGroup
-    images: tuple[int, ...]  # images[i-1] = id of the image of x_i
-    decomposable_extension: bool  # one power relator per orbit beyond the first
+    __slots__ = ("group", "images", "decomposable_extension")
+
+    def __init__(self, group: FinGroup, images: tuple[int, ...], decomposable_extension: bool):
+        self.group = group
+        self.images = images  # images[i-1] = id of the image of x_i
+        # one power relator per orbit beyond the first
+        self.decomposable_extension = decomposable_extension
 
 
 def finite_enveloping_group(q: Quandle, max_cosets: int = DEFAULT_MAX_COSETS) -> EnvelopingGroup:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -140,16 +139,13 @@ class Quandle:
         return cls.from_text(text)
 
 
-@dataclass(frozen=True)
 class QuandleIso:
     """A witnessing isomorphism: map[i-1] is the image of element i."""
 
-    source: Quandle
-    target: Quandle
-    map: tuple[int, ...]
+    __slots__ = ("source", "target", "map")
 
-    def __post_init__(self):
-        q, r, f = self.source, self.target, self.map
+    def __init__(self, source: Quandle, target: Quandle, map: tuple[int, ...]):
+        q, r, f = source, target, map
         if q.n != r.n:
             raise InputError(f"source and target sizes differ: {q.n} and {r.n}")
         if len(f) != q.n or set(f) != set(r.elements()):
@@ -158,6 +154,9 @@ class QuandleIso:
             for j in q.elements():
                 if f[q.op(i, j) - 1] != r.op(f[i - 1], f[j - 1]):
                     raise InputError("map is not a quandle isomorphism")
+        self.source = source
+        self.target = target
+        self.map = map
 
 
 def perm_order(row: Sequence[int]) -> int:

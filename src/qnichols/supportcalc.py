@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -45,23 +44,20 @@ if TYPE_CHECKING:  # imported where used, so that the census runs without envgro
 DegreeTuple = tuple[int, ...]  # (r_1, ..., r_m, s): V-slots then one W-slot
 
 
-@dataclass(frozen=True)
 class TwoOrbitContext:
     """A quandle with designated acting orbit (V role) and target orbit (W role)."""
 
-    quandle: Quandle
-    orbit_v: tuple[int, ...]
-    orbit_w: tuple[int, ...]
-
-    def __post_init__(self):
-        q = self.quandle
-        if sorted((*self.orbit_v, *self.orbit_w)) != list(q.elements()):
+    def __init__(self, quandle: Quandle, orbit_v: tuple[int, ...], orbit_w: tuple[int, ...]):
+        if sorted((*orbit_v, *orbit_w)) != list(quandle.elements()):
             raise InputError("roles must hold every element of the quandle exactly once")
-        if not (self.orbit_v and self.orbit_w):
+        if not (orbit_v and orbit_w):
             raise InputError("roles must be nonempty")
-        v = set(self.orbit_v)
-        if not all(v.issuperset(orb) or v.isdisjoint(orb) for orb in inner_orbits(q)):
+        v = set(orbit_v)
+        if not all(v.issuperset(orb) or v.isdisjoint(orb) for orb in inner_orbits(quandle)):
             raise InputError("roles must be unions of inner orbits")
+        self.quandle = quandle
+        self.orbit_v = orbit_v
+        self.orbit_w = orbit_w
 
     @cached_property
     def commuting(self) -> bool:
@@ -355,11 +351,13 @@ def two_orbit_candidates(n_max: int) -> list[Quandle]:
     return out
 
 
-@dataclass(frozen=True)
 class Candidate:
-    quandle: Quandle
-    ctx: TwoOrbitContext
-    branch: str  # "comm" | "nc"
+    __slots__ = ("quandle", "ctx", "branch")
+
+    def __init__(self, quandle: Quandle, ctx: TwoOrbitContext, branch: str):
+        self.quandle = quandle
+        self.ctx = ctx
+        self.branch = branch  # "comm" | "nc"
 
 
 Rule = Callable[[TwoOrbitContext], Optional[object]]

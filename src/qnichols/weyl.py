@@ -13,7 +13,6 @@ and the reduction and insertion rules).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError, InvariantViolationError, ResourceCapError
@@ -41,25 +40,32 @@ def is_characteristic(seq: Sequence[int]) -> bool:
     proper prefix products."""
     if not seq or min(seq) < 1:
         return False
-    # the running product ((a, b), (c, d)), multiplied by eta(x) in place
-    a, b, c, d = 1, 0, 0, 1
-    last = len(seq) - 1
-    for idx, x in enumerate(seq):
-        a, b, c, d = a * x + b, -a, c * x + d, -c
-        if idx < last and (a < 0 or c < 0):
+    # The running product times eta(x) is ((a x + b, -a), (c x + d, -c)), so
+    # its second column is minus the first column of the product before it:
+    # only the first columns (a, c) and (a_prev, c_prev) are kept.  Every
+    # product has determinant c a_prev - a c_prev = 1, so a >= 0 after
+    # a_prev >= 0 and c_prev >= 0 gives c a_prev >= 1, hence c > 0: testing a
+    # keeps both entries of every first column nonnegative.
+    a, c, a_prev, c_prev = 1, 0, 0, -1
+    for x in seq[:-1]:
+        a, c, a_prev, c_prev = a * x - a_prev, c * x - c_prev, a, c
+        if a < 0:
             return False
-    return (a, b, c, d) == (-1, 0, 0, -1)
+    # with x the last entry, the full product ((a x - a_prev, -a), (c x - c_prev,
+    # -c)) is -id when a = 0 and x = c_prev: c a_prev = 1 and a_prev >= 0 give
+    # a_prev = c = 1
+    return a == 0 and seq[-1] == c_prev
 
 
-@dataclass(frozen=True)
 class CharSeq:
     """A verified characteristic sequence."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not is_characteristic(self.entries):
-            raise InputError(f"not a characteristic sequence: {self.entries}")
+    def __init__(self, entries: tuple[int, ...]):
+        if not is_characteristic(entries):
+            raise InputError(f"not a characteristic sequence: {entries}")
+        self.entries = entries
 
     def rotations(self) -> list[tuple[int, ...]]:
         return _rotations(self.entries)
@@ -150,17 +156,17 @@ def _witness(entries: tuple[int, ...]) -> int:
     raise InvariantViolationError(f"no witness index in {entries}")
 
 
-@dataclass(frozen=True)
 class CartanPair:
     """Off-diagonal magnitudes (c1, c2) of a rank-two Cartan matrix
     [[2, -c1], [-c2, 2]]."""
 
-    c1: int
-    c2: int
+    __slots__ = ("c1", "c2")
 
-    def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
+    def __init__(self, c1: int, c2: int):
+        if c1 < 0 or c2 < 0:
             raise InputError("Cartan entries must be nonnegative magnitudes")
+        self.c1 = c1
+        self.c2 = c2
 
 
 def finite_type(pair: CartanPair) -> bool:

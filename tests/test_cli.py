@@ -391,11 +391,13 @@ _LOADED = {
     ids=lambda argv: argv[0],
 )
 def test_each_command_loads_only_its_layers(tmp_path, s3pair_spec, argv):
-    # the adjoint case reads s3pair_spec, tmp_path / "pair.json"
+    # the adjoint case reads s3pair_spec, tmp_path / "pair.json"; no command
+    # needs dataclasses or the inspect module it imports
     script = (
         "import sys\n"
         "from qnichols import cli\n"
         f"code = cli.main({list(argv)!r})\n"
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules], file=sys.stderr)\n"
         "print(sorted(m for m in sys.modules if m.startswith('qnichols')), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
@@ -406,7 +408,7 @@ def test_each_command_loads_only_its_layers(tmp_path, s3pair_spec, argv):
     assert proc.returncode == 0, proc.stderr
     loaded = ["qnichols", "qnichols.cli", "qnichols.errors"]
     loaded += [f"qnichols.{m}" for m in _LOADED[argv[0]]]
-    assert proc.stderr.decode().splitlines()[-1] == repr(sorted(loaded))
+    assert proc.stderr.decode().splitlines()[-2:] == ["[]", repr(sorted(loaded))]
 
 
 @pytest.mark.parametrize("command", ["quandle", "envgroup", "certify"])
@@ -507,6 +509,27 @@ def test_charseqs_writes_stdout_in_64k_chunks(monkeypatch, emit, size, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
     assert len(stdout.writes) <= math.ceil(len(out.encode()) / 65536) + 1
     assert len(stdout.writes) > 1
+
+
+@pytest.mark.parametrize(
+    "emit, size, sha256",
+    [
+        ("json", 43_681_056, "b6d56e6b5b1cbe8ee7ff460db08a940d2ae90e35b6c0069b14ee7dd9a4edc4ce"),
+        ("csv", 6_988_615, "55816c1c75461d97b9509f9a64271922646de6be6f44853e6a882c2a5235ceb2"),
+    ],
+)
+def test_charseqs_length_12_output_pinned(monkeypatch, emit, size, sha256):
+    # the benchmark's input: 23,713 records, 2,097 rotation classes
+    stdout = _CountingStdout()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["charseqs", "--max-len", "12", "--emit", emit]) == 0
+    digest = hashlib.sha256()
+    nbytes = 0
+    for text in stdout.writes:
+        data = text.encode()
+        digest.update(data)
+        nbytes += len(data)
+    assert (nbytes, digest.hexdigest()) == (size, sha256)
 
 
 @pytest.mark.parametrize("max_len", ["-5", "0"])

@@ -7,8 +7,10 @@ every identifier in the non-test files under ``bench/``: names, attributes,
 and identifier-like strings, since ``bench/layers.py`` patches functions by
 attribute name.  From a reached definition the search follows each
 identifier in it: a bare ``ast.Name`` to every module-level definition of that
-name, an ``ast.Attribute`` or a bench string to every definition of that name,
-so a method is reached by any attribute of its name.  A reached class also
+name; ``self.<name>`` or ``cls.<name>`` inside a class to the method of that
+name on the class or on one of its bases in the package; any other
+``ast.Attribute``, or a bench string, to every definition of that name, so
+such a method is reached by any attribute of its name.  A reached class also
 reaches its bases, decorators, class-level statements and dunder methods,
 which Python calls implicitly.  Dunders are never checked themselves: an
 unused one has to be deleted by hand.
@@ -52,18 +54,24 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+_SELF = ("self", "cls")
+
+
 def _identifiers(nodes, strings: bool = False):
-    """(identifier, bare): bare for an ``ast.Name``, which can only mean a
-    module-level definition, not a method."""
+    """(identifier, kind): kind "bare" for an ``ast.Name``, which can only
+    mean a module-level definition; "self" for an attribute of ``self`` or
+    ``cls``, which means a method of the enclosing class; "attr" for any
+    other attribute or string."""
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                yield sub.id, True
+                yield sub.id, "bare"
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr, False
+                on_self = isinstance(sub.value, ast.Name) and sub.value.id in _SELF
+                yield sub.attr, "self" if on_self else "attr"
             elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 if sub.value.isidentifier():
-                    yield sub.value, False
+                    yield sub.value, "attr"
 
 
 def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
@@ -73,6 +81,8 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
     where: dict[str, str] = {}  # qualname -> file:line
     by_name: dict[str, list[str]] = {}
     follow: dict[str, list[ast.AST]] = {}  # qualname -> the nodes it reaches from
+    owner: dict[str, str] = {}  # qualname of a class or method -> its class
+    bases: dict[str, list[str]] = {}  # class qualname -> base names
     roots: list[ast.AST] = []
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -81,6 +91,7 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
                 continue
             members = [(f"{path.stem}.{node.name}", node)]
             if isinstance(node, ast.ClassDef):
+                bases[members[0][0]] = [b.id for b in node.bases if isinstance(b, ast.Name)]
                 implicit = [*node.bases, *node.decorator_list]
                 for item in node.body:
                     if isinstance(item, _DEFS) and not _dunder(item.name):
@@ -88,6 +99,7 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
                     else:
                         implicit.append(item)
                 follow[members[0][0]] = implicit
+                owner.update((qualname, members[0][0]) for qualname, _ in members)
             for qualname, item in members:
                 where[qualname] = f"{path.relative_to(package.parent)}:{item.lineno}"
                 by_name.setdefault(item.name, []).append(qualname)
@@ -99,10 +111,25 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
     for path in bench:
         words += _identifiers([ast.parse(path.read_text())], strings=True)
 
-    def definitions(identifiers):
+    def lineage(cls: str) -> list[str]:
+        """The class and its bases defined in the package, transitively."""
+        out = [cls]
+        for base in bases[cls]:
+            for q in by_name.get(base, []):
+                if q in bases:
+                    out += lineage(q)
+        return out
+
+    def definitions(identifiers, cls=None):
         # a module-level qualname is "module.name"; a method's has one dot more
-        for word, bare in identifiers:
-            yield from (q for q in by_name.get(word, []) if not bare or q.count(".") == 1)
+        for word, kind in identifiers:
+            if kind == "self":
+                if cls is not None:
+                    yield from (q for c in lineage(cls) if (q := f"{c}.{word}") in where)
+            else:
+                yield from (
+                    q for q in by_name.get(word, []) if kind == "attr" or q.count(".") == 1
+                )
 
     todo += definitions(words)
     while todo:
@@ -110,7 +137,7 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
         if qualname in reached:
             continue
         reached.add(qualname)
-        todo += definitions(_identifiers(follow[qualname]))
+        todo += definitions(_identifiers(follow[qualname]), owner.get(qualname))
     dead = where.keys() - reached
     return {q: at for q, at in where.items() if q in dead and q.rsplit(".", 1)[0] not in dead}
 
@@ -138,7 +165,7 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
         from . import lib
 
         def main():
-            return lib.helper() + lib.Box().used()
+            return lib.helper() + lib.Box().used() + lib.Other()
 
         TABLE = {"k": lib.from_table}
         """
@@ -160,12 +187,22 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
         def dead():
             return helper()
 
-        class Box:
+        class Base:
+            def inherited(self):
+                pass
+
+            def overridden(self):
+                pass
+
+        class Box(Base):
             def __init__(self):
                 self.x = _from_init()
 
             def used(self):
-                return 0
+                return self.inherited() + self.lookalike()
+
+            def overridden(self):
+                pass
 
             def unused(self):
                 pass
@@ -176,6 +213,10 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
         def _from_init():
             pass
 
+        class Other:
+            def lookalike(self):
+                return self.overridden()
+
         class Ghost:
             def method(self):
                 pass
@@ -183,8 +224,18 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
     ))
     bench = tmp_path / "layers.py"
     bench.write_text('PATCH = [(lib, "benched")]\n')
-    # a bare name (the parameter shadow) reaches no method of that name
-    dead = {"lib.dead", "lib.Box.unused", "lib.Box.shadow", "lib.Ghost"}
+    # a bare name (the parameter shadow) reaches no method of that name, and
+    # self.<name> reaches only the method of its class or a base: Base.inherited,
+    # not Other.lookalike or either overridden method
+    dead = {
+        "lib.dead",
+        "lib.Base.overridden",
+        "lib.Box.unused",
+        "lib.Box.shadow",
+        "lib.Box.overridden",
+        "lib.Other.lookalike",
+        "lib.Ghost",
+    }
     assert set(unreached(package, [])) == dead | {"lib.benched"}
     assert set(unreached(package, [bench])) == dead
 

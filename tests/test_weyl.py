@@ -27,18 +27,33 @@ def test_is_characteristic():
     assert not W.is_characteristic((1, 1))
     assert not W.is_characteristic(())
     assert not W.is_characteristic((0, 1, 1))
+    # the product is -id, but so is the proper prefix (1, 1, 1)
+    assert not W.is_characteristic((1,) * 9)
 
 
-@given(st.lists(st.integers(0, 5), max_size=9))
-def test_is_characteristic_matches_matrix_product(seq):
+def _characteristic_by_product(seq) -> bool:
     m = W.ID2
     prefixes_ok = True
     for k, c in enumerate(seq):
         m = W.mat_mul(m, W.eta(c))
         if k < len(seq) - 1 and (m[0][0] < 0 or m[1][0] < 0):
             prefixes_ok = False
-    expected = bool(seq) and min(seq) >= 1 and prefixes_ok and m == W.NEG_ID2
-    assert W.is_characteristic(seq) == expected
+    return bool(seq) and min(seq) >= 1 and prefixes_ok and m == W.NEG_ID2
+
+
+@given(st.lists(st.integers(-2, 7), max_size=14))
+def test_is_characteristic_matches_matrix_product(seq):
+    assert W.is_characteristic(seq) == _characteristic_by_product(seq)
+
+
+def test_is_characteristic_matches_matrix_product_on_near_misses():
+    # random lists are almost never characteristic, so the final comparison
+    # with -id is tested on each sequence to length 9 with one entry moved by 1
+    for seq in W.enumerate_charseqs(9):
+        for k in range(len(seq)):
+            for step in (-1, 1):
+                near = seq[:k] + (seq[k] + step,) + seq[k + 1 :]
+                assert W.is_characteristic(near) == _characteristic_by_product(near), near
 
 
 def test_2121_product_oracle():
