@@ -268,10 +268,14 @@ def _load_module_pair(path: str) -> tuple[YDModule, YDModule]:
     with open(path) as fh:
         spec = _object(json.load(fh), "module pair descriptor")
     if "diagonal" in spec:
+        if {"group", "group_ref", "V", "W"} & spec.keys():
+            raise InputError("a 'diagonal' descriptor takes no group and no V or W")
         d = _object(spec["diagonal"], "diagonal")
         keys = ("q11", "q12", "q21", "q22")
         qs = [cyclotomic.parse_cyc(_field(d, k, "diagonal")) for k in keys]
         return ydmod.diagonal_pair(*qs)
+    if "group" in spec and "group_ref" in spec:
+        raise InputError("module pair descriptor takes one of 'group' and 'group_ref'")
     group = _build_group(spec.get("group_ref", spec.get("group")))
     v = _build_module(group, _field(spec, "V", "module pair descriptor"), "V")
     w_spec = _field(spec, "W", "module pair descriptor")

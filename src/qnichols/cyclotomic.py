@@ -399,8 +399,8 @@ def echelon_rows(rows: Iterable[dict[int, CycNum]]) -> dict[int, dict[int, CycNu
 
 
 def parse_cyc(text: str) -> CycNum:
-    """Parse scalar literals: integers, a/b rationals, zN / zN^k roots of unity,
-    and '*'-separated products of those, e.g. ``-1``, ``z3^2``, ``1/2*z8``."""
+    """Parse a scalar: an optional leading '-', then '*'-separated factors D, D/D, zD
+    or zD^k, D a run of decimal digits and k = D or -D; e.g. ``-1``, ``z3^2``, ``1/2*z8``."""
     if not isinstance(text, str):
         raise InputError(f"scalar must be a string, got {text!r}")
     text = text.strip().replace(" ", "")
@@ -417,6 +417,8 @@ def parse_cyc(text: str) -> CycNum:
         if token.startswith("z"):
             base, caret, exp = token[1:].partition("^")
             try:
+                if not (base.isdecimal() and (not caret or exp.removeprefix("-").isdecimal())):
+                    raise ValueError
                 n = int(base)
                 k = int(exp) if caret else 1
             except ValueError:
@@ -426,6 +428,8 @@ def parse_cyc(text: str) -> CycNum:
             out = out * CycNum.zeta(n, k)
         else:
             try:
+                if not token.replace("/", "", 1).isdecimal():  # Fraction refuses '1/' and '/1'
+                    raise ValueError
                 out = out * CycNum.rational(Fraction(token))
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"bad rational token {token!r}")

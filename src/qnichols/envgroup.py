@@ -88,10 +88,6 @@ class _CosetTable:
         self.p = [0]
         self.words = [_columns(w) for w in relators]
 
-    @staticmethod
-    def _inv(col: int) -> int:
-        return col ^ 1
-
     def _rep(self, k: int) -> int:
         while self.p[k] != k:
             self.p[k] = self.p[self.p[k]]
@@ -107,7 +103,7 @@ class _CosetTable:
         self.table.append([None] * self.ncols)
         self.p.append(beta)
         self.table[alpha][col] = beta
-        self.table[beta][self._inv(col)] = alpha
+        self.table[beta][col ^ 1] = alpha
 
     def _merge(self, a: int, b: int, queue: deque) -> None:
         a, b = self._rep(a), self._rep(b)
@@ -126,18 +122,18 @@ class _CosetTable:
                 delta = self.table[gamma][col]
                 if delta is None:
                     continue
-                self.table[delta][self._inv(col)] = None
+                self.table[delta][col ^ 1] = None
                 mu, nu = self._rep(gamma), self._rep(delta)
                 ex = self.table[mu][col]
                 if ex is not None:
                     self._merge(nu, ex, queue)
                 else:
-                    ex2 = self.table[nu][self._inv(col)]
+                    ex2 = self.table[nu][col ^ 1]
                     if ex2 is not None:
                         self._merge(mu, ex2, queue)
                     else:
                         self.table[mu][col] = nu
-                        self.table[nu][self._inv(col)] = mu
+                        self.table[nu][col ^ 1] = mu
 
     def _scan_and_fill(self, alpha: int, word: tuple[int, ...]) -> None:
         while True:
@@ -153,7 +149,7 @@ class _CosetTable:
                 return
             b, j = alpha, len(word) - 1
             while j >= i:
-                nxt = self.table[b][self._inv(word[j])]
+                nxt = self.table[b][word[j] ^ 1]
                 if nxt is None:
                     break
                 b, j = nxt, j - 1
@@ -162,7 +158,7 @@ class _CosetTable:
                 return
             if j == i:
                 self.table[f][word[i]] = b
-                self.table[b][self._inv(word[i])] = f
+                self.table[b][word[i] ^ 1] = f
                 return
             self._define(f, word[i])
 
@@ -253,11 +249,6 @@ class FinGroup:
             raise ResourceCapError(
                 f"group order {self.order} exceeds the checked-table cap {MAX_CHECKED_ORDER}"
             )
-        self._validate_rows()
-        self.validate_associativity()
-
-    def _validate_rows(self) -> None:
-        """Shape, identity and permutation-row checks of the table."""
         n = self.order
         if n == 0:
             raise InputError("a group has at least its identity element")
@@ -269,6 +260,7 @@ class FinGroup:
         for row in self.mult:
             if len(set(row)) != n:
                 raise InputError("rows must be permutations")
+        self.validate_associativity()
 
     def validate_associativity(self) -> None:
         """Full associativity check (cubic; see MAX_CHECKED_ORDER)."""
@@ -352,12 +344,8 @@ class FinGroup:
         return tuple(x for x in range(self.order) if self.mult[x][a] == self.mult[a][x])
 
     def center(self) -> tuple[int, ...]:
-        """The elements that commute with every generator."""
-        return tuple(
-            x
-            for x in range(self.order)
-            if all(self.mult[x][s] == self.mult[s][x] for s in self.generators)
-        )
+        """The elements whose conjugacy class is themselves alone, in order."""
+        return tuple(cls[0] for cls in self._classes if len(cls) == 1)
 
     def has_abelian_centralizers(self) -> bool:
         """Whether the centralizer of every non-central element is abelian.
@@ -468,7 +456,8 @@ def _group_from_regular_table(
     inverts column 2k; every generator column s has T[mult[a][b]][s] ==
     mult[a][T[b][s]], so the right actions b -> mult[.][b] are closed under
     the generators and form a group acting regularly, with table mult; and
-    every relator traced from coset 0 returns to 0."""
+    every relator traced from coset 0 returns to 0.  So mult is a Latin
+    square with identity 0, which ``FinGroup`` need not check again."""
     n = len(table)
     ngens = len(pres.generators)
     if any(len(row) != 2 * ngens or any(not 0 <= v < n for v in row) for row in table):
@@ -506,9 +495,7 @@ def _group_from_regular_table(
             raise InvariantViolationError(f"relator {rel} does not close on the coset table")
     names = [_render_word(w, pres.generators) for w in word]
     images = [table[0][2 * k] for k in range(ngens)]
-    group = FinGroup(list(zip(*column)), names, generator_ids=images, check=False)
-    group._validate_rows()
-    return group, images
+    return FinGroup(list(zip(*column)), names, generator_ids=images, check=False), images
 
 
 def _gather(seq: Sequence[int], idx: Sequence[int]) -> tuple[int, ...]:

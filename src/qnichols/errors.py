@@ -4,16 +4,12 @@
 class InputError(ValueError):
     """Malformed or out-of-range input.  CLI exit code 2."""
 
-    exit_code = 2
-
 
 class ResourceCapError(RuntimeError):
     """A configured resource cap was exceeded (coset budget, tensor cap, census size).
 
     CLI exit code 3.
     """
-
-    exit_code = 3
 
 
 class InvariantViolationError(AssertionError):
@@ -22,5 +18,3 @@ class InvariantViolationError(AssertionError):
     This is always either a bug or a genuine mathematical finding; it is
     never swallowed.
     """
-
-    exit_code = 4

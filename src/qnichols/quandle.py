@@ -54,7 +54,7 @@ def parse_cycles(text: str, n: int) -> tuple[int, ...]:
 
 
 class Quandle:
-    """A finite quandle given by its operation table (validated on construction)."""
+    """A finite quandle given by its operation table (checked unless ``check=False``)."""
 
     __slots__ = ("n", "table")
 
@@ -83,7 +83,7 @@ class Quandle:
 
     def row_order(self, i: int) -> int:
         """Order of the translation phi_i as a permutation."""
-        return perm_order(self.table[i - 1])
+        return lcm(*perm_cycle_type(self.table[i - 1]))
 
     def elements(self) -> range:
         return range(1, self.n + 1)
@@ -157,10 +157,6 @@ class QuandleIso:
         self.source = source
         self.target = target
         self.map = map
-
-
-def perm_order(row: Sequence[int]) -> int:
-    return lcm(*perm_cycle_type(row))
 
 
 def perm_cycle_type(row: Sequence[int]) -> tuple[int, ...]:
@@ -255,8 +251,9 @@ def inner_orbits(q: Quandle) -> list[tuple[int, ...]]:
 
 def subquandle(q: Quandle, subset: Iterable[int]) -> tuple[Quandle, list[int]]:
     """Restrict q to a closed subset.  Returns (quandle, labels) with labels[k-1]
-    the original element of the new element k."""
-    labels = sorted(subset)
+    the original element of the new element k.  Only closure needs a check:
+    the restricted rows are then bijections, and the axioms hold as in q."""
+    labels = sorted(set(subset))
     pos = {v: k + 1 for k, v in enumerate(labels)}
     table = []
     for i in labels:
@@ -267,7 +264,7 @@ def subquandle(q: Quandle, subset: Iterable[int]) -> tuple[Quandle, list[int]]:
                 raise InputError(f"subset not closed: {i} > {j} = {v}")
             row.append(pos[v])
         table.append(row)
-    return Quandle(table), labels
+    return Quandle(table, check=False), labels
 
 
 def is_commutative_subset(q: Quandle, subset: Iterable[int]) -> bool:
@@ -424,7 +421,7 @@ def catalog(name: str) -> Quandle:
         raise InputError(f"unknown catalog quandle {name!r}; known: {catalog_names()}")
     cycles = _CATALOG_CYCLES[key]
     n = len(cycles)
-    return Quandle([parse_cycles(c, n) for c in cycles])
+    return Quandle([parse_cycles(c, n) for c in cycles], check=False)  # constant tables
 
 
 def match_catalog(q: Quandle) -> Optional[str]:
@@ -702,7 +699,7 @@ def cycle_pair(k: int, l: int) -> Quandle:
     n = k + l
     a_row = tuple(range(1, k + 1)) + tuple(k + 1 + (j + 1) % l for j in range(l))
     b_row = tuple(1 + (i + 1) % k for i in range(k)) + tuple(range(k + 1, n + 1))
-    return Quandle([a_row] * k + [b_row] * l)
+    return Quandle([a_row] * k + [b_row] * l, check=False)
 
 
 def iso_class_representatives(quandles: Sequence[Quandle]) -> list[Quandle]:

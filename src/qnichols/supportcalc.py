@@ -575,11 +575,10 @@ def classify(
     batteries, and match survivors against the catalog.
 
     Extra survivors (not isomorphic to a catalog quandle) are flagged and run
-    through the group-level post-filter instead of being silently dropped."""
+    through the group-level post-filter instead of being silently dropped.
+    Past MAX_CENSUS_SIZE, ``census_splits`` raises before any work."""
     if n_max < 1:
         raise InputError("n_max must be positive")
-    if n_max > MAX_CENSUS_SIZE:
-        raise ResourceCapError(f"classification census bounded at size {MAX_CENSUS_SIZE}")
     if branch not in ("both", "comm", "nc"):
         raise InputError("branch must be 'both', 'comm' or 'nc'")
     matched: dict[str, dict] = {}

@@ -186,4 +186,4 @@ def detect_finite_object(pairs: Sequence[CartanPair]) -> int:
     seq = tuple(p.c1 if k % 2 == 0 else p.c2 for k, p in enumerate(pairs))
     if not is_characteristic(seq):
         raise InputError(f"alternating Cartan data is not characteristic: {seq}")
-    return small_neighbor_witness(seq)
+    return _witness(seq)

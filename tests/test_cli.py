@@ -411,6 +411,22 @@ def test_each_command_loads_only_its_layers(tmp_path, s3pair_spec, argv):
     assert proc.stderr.decode().splitlines()[-2:] == ["[]", repr(sorted(loaded))]
 
 
+def test_importing_the_cli_loads_only_cli_and_errors():
+    # the set-up probe of the CLI workloads is this import, after bench/run.py
+    # has loaded __future__ and the standard modules the CLI imports
+    script = (
+        "import sys\n"
+        "import __future__, argparse, itertools, json, os, typing\n"
+        "before = set(sys.modules)\n"
+        "import qnichols.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "['qnichols', 'qnichols.cli', 'qnichols.errors']\n"
+
+
 @pytest.mark.parametrize("command", ["quandle", "envgroup", "certify"])
 def test_missing_input_flag_exit2(capsys, command):
     argv = [command] + (["--orbit-v", "1"] if command == "certify" else [])
@@ -821,6 +837,31 @@ def test_adjoint_non_object_nested_spec_exit2(capsys, tmp_path, spec):
     path.write_text(json.dumps(spec))
     code, _ = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {
+            "diagonal": {"q11": "-1", "q12": "1", "q21": "1", "q22": "-1"},
+            "group_ref": "sl23",
+            "V": "malformed",
+        },
+        {
+            "group_ref": "enveloping:(12)^S3",
+            "group": {"type": "sl23"},
+            "V": {"class_rep": "x1", "character": {"x1": "-1"}},
+            "W": {"class_rep": "x1", "character": {"x1": "-1"}},
+        },
+        {"diagonal": {"q11": "--1", "q12": "1", "q21": "1", "q22": "-1"}},
+    ],
+    ids=["diagonal-beside-a-group", "group_ref-beside-group", "scalar-double-minus"],
+)
+def test_adjoint_conflicting_or_malformed_descriptor_exit2(capsys, tmp_path, spec):
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(spec))
+    code, out = run(capsys, "adjoint", "--spec", str(path), "--m", "1")
+    assert (code, out) == (2, "")
 
 
 def test_certify_nc(capsys):

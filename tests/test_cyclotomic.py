@@ -411,6 +411,12 @@ def test_parse_cyc():
         C.parse_cyc("")
     with pytest.raises(InputError):
         C.parse_cyc("z3^")  # a dangling exponent is not z3
+    assert C.parse_cyc("-1/2*z8^-3") == -C.CycNum.zeta(8, -3) * Fraction(1, 2)
+    # one leading '-' only, and factors of digits: no signs, exponents,
+    # separators or decimals that int() and Fraction() would accept
+    for text in ["--1", "-+1", "1*-1", "1*+2", "z3^+2", "1e3", "1_000", ".5", "1.5", "-z3*-z3"]:
+        with pytest.raises(InputError):
+            C.parse_cyc(text)
 
 
 def test_str_round_readable():

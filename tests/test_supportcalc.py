@@ -712,6 +712,35 @@ def test_classify_n8():
     assert rep["flagged"] == []
 
 
+def test_classify_checks_no_quandle_it_builds(monkeypatch):
+    # every quandle classify builds is proved one where it is built: the
+    # census by its row search, and catalog, cycle_pair and subquandle by the
+    # tests beside them and below
+    calls = []
+    checked = Q.is_quandle
+    monkeypatch.setattr(Q, "is_quandle", lambda table: calls.append(table) or checked(table))
+    S.classify(n_max=6)
+    assert calls == []
+
+
+def test_built_subquandles_satisfy_the_axioms(monkeypatch):
+    built = []
+
+    def recording(q, subset):
+        sub, labels = Q.subquandle(q, subset)
+        built.append(sub)
+        return sub, labels
+
+    monkeypatch.setattr(S, "subquandle", recording)
+    for q in two_orbit_census():
+        orb1, orb2 = Q.inner_orbits(q)
+        for ov, ow in ((orb1, orb2), (orb2, orb1)):
+            S._swapped_halves(q, ov, ow)
+            S._w_parts(S.TwoOrbitContext(q, ov, ow))
+    assert len(built) == 4 * len(two_orbit_census())
+    assert all(Q.is_quandle(sub.table) for sub in built)
+
+
 def test_classify_nmax_cap():
     with pytest.raises(ResourceCapError):
         S.classify(n_max=9)
@@ -719,6 +748,8 @@ def test_classify_nmax_cap():
         S.classify(n_max=0)
     with pytest.raises(InputError):
         S.classify(n_max=4, branch="bogus")
+    with pytest.raises(InputError):  # the arguments are checked before the census cap
+        S.classify(n_max=9, branch="bogus")
 
 
 @pytest.mark.slow
