@@ -190,18 +190,6 @@ class CycNum:
             raise InvariantViolationError("element is a zero divisor; conductor arithmetic broken")
         return s1 * CycNum.rational(Fraction(1) / r1[0])
 
-    def __pow__(self, k: int) -> "CycNum":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = one(self.N)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
@@ -257,9 +245,6 @@ def one(conductor: int = 1) -> CycNum:
     return CycNum(conductor, [1])
 
 
-_ZERO = zero()
-
-
 class CycMatrix:
     """Exact matrix over a cyclotomic field; entries stored sparsely by row.
 
@@ -282,11 +267,6 @@ class CycMatrix:
         for i in range(n):
             m.set(i, i, one())
         return m
-
-    def get(self, i: int, j: int) -> CycNum:
-        row = self.data.get(i)
-        value = row.get(j) if row else None
-        return _ZERO if value is None else value
 
     def set(self, i: int, j: int, value: CycNum) -> None:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -336,9 +316,6 @@ class CycMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.data
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
@@ -400,18 +377,19 @@ def echelon_rows(rows: Iterable[dict[int, CycNum]]) -> dict[int, dict[int, CycNu
 
 def parse_cyc(text: str) -> CycNum:
     """Parse a scalar: an optional leading '-', then '*'-separated factors D, D/D, zD
-    or zD^k, D a run of decimal digits and k = D or -D; e.g. ``-1``, ``z3^2``, ``1/2*z8``."""
+    or zD^k, D a run of decimal digits and k = D or -D; e.g. ``-1``, ``z3^2``, ``1/2*z8``.
+    Whitespace may stand only at either end and on either side of a '*'."""
     if not isinstance(text, str):
         raise InputError(f"scalar must be a string, got {text!r}")
-    text = text.strip().replace(" ", "")
-    if not text:
+    if not text.strip():
         raise InputError("empty scalar")
+    tokens = [token.strip() for token in text.split("*")]
     sign = 1
-    if text.startswith("-"):
+    if tokens[0].startswith("-"):
         sign = -1
-        text = text[1:]
+        tokens[0] = tokens[0][1:]
     out = one()
-    for token in text.split("*"):
+    for token in tokens:
         if not token:
             raise InputError("empty factor in scalar")
         if token.startswith("z"):

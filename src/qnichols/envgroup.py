@@ -97,7 +97,8 @@ class _CosetTable:
     def _define(self, alpha: int, col: int) -> None:
         if len(self.table) >= self.max_cosets:
             raise ResourceCapError(
-                f"coset budget {self.max_cosets} exceeded; group may be infinite"
+                f"coset budget {self.max_cosets} exceeded; the group is infinite"
+                " or needs more cosets than the budget"
             )
         beta = len(self.table)
         self.table.append([None] * self.ncols)
@@ -212,9 +213,9 @@ def todd_coxeter(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> li
 
 #: The largest explicit table ``FinGroup`` checks (``check=True``).  The
 #: associativity check is cubic: 0.9 s at order 256 and 8.6 s at 512 (Python
-#: 3.11, 2 shared vCPUs).  Tables the package builds itself are SL(2,3) (order
-#: 24), pass ``check=False`` or have their own check, so only tables given to
-#: the library meet this cap.
+#: 3.11, 2 shared vCPUs).  Every table the package builds itself passes
+#: ``check=False`` or has its own check, so only tables given to the library
+#: are checked and meet this cap.
 MAX_CHECKED_ORDER = 256
 
 
@@ -242,7 +243,7 @@ class FinGroup:
             raise InputError(f"generator ids must lie in 0..{self.order - 1}: {self.generator_ids}")
         if check:
             self._validate()
-        self.inverse = tuple(self._find_inverse(a) for a in range(self.order))
+        self.inverse = tuple(row.index(0) for row in self.mult)
 
     def _validate(self) -> None:
         if self.order > MAX_CHECKED_ORDER:
@@ -274,9 +275,6 @@ class FinGroup:
                 for c in range(n):
                     if row_ab[c] != row_a[row_b[c]]:
                         raise InputError("multiplication is not associative")
-
-    def _find_inverse(self, a: int) -> int:
-        return self.mult[a].index(0)
 
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
@@ -548,4 +546,4 @@ def sl23() -> FinGroup:
 
     mult = [[index[mmul(x, y)] for y in mats] for x in mats]
     names = [f"[{a}{b};{c}{d}]" for a, b, c, d in mats]
-    return FinGroup(mult, names, check=True)
+    return FinGroup(mult, names, check=False)

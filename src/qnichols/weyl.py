@@ -19,9 +19,6 @@ from .errors import InputError, InvariantViolationError, ResourceCapError
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
-ID2: Mat2 = ((1, 0), (0, 1))
-NEG_ID2: Mat2 = ((-1, 0), (0, -1))
-
 
 def eta(c: int) -> Mat2:
     """The SL(2,Z) companion matrix [[c, -1], [1, 0]]."""

@@ -23,8 +23,11 @@ from qnichols.supportcalc import (
     census_splits,
     two_orbit_candidates,
 )
-from qnichols.weyl import ID2, NEG_ID2, Mat2, eta, mat_mul
+from qnichols.weyl import Mat2, eta, mat_mul
 from qnichols.ydmod import YDModule
+
+ID2: Mat2 = ((1, 0), (0, 1))
+NEG_ID2: Mat2 = ((-1, 0), (0, -1))
 
 
 def cyc_matrix(entries: Sequence[Sequence]) -> CycMatrix:
@@ -40,12 +43,25 @@ def cyc_matrix(entries: Sequence[Sequence]) -> CycMatrix:
     return m
 
 
+def entry(m: CycMatrix, i: int, j: int) -> CycNum:
+    """The (i, j) entry of m, zero where m stores none."""
+    return m.data.get(i, {}).get(j, CycNum.rational(0))
+
+
+def cyc_power(x: CycNum, k: int) -> CycNum:
+    """x^k for k >= 0, as a product of k factors."""
+    out = CycNum.rational(1)
+    for _ in range(k):
+        out = out * x
+    return out
+
+
 def matrix_sum(*terms: CycMatrix) -> CycMatrix:
     """The entrywise sum of matrices of one shape."""
     out = CycMatrix(terms[0].rows, terms[0].cols)
     for m in terms:
         for i, j, v in m.iter_entries():
-            out.set(i, j, out.get(i, j) + v)
+            out.set(i, j, entry(out, i, j) + v)
     return out
 
 

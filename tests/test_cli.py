@@ -854,8 +854,14 @@ def test_adjoint_non_object_nested_spec_exit2(capsys, tmp_path, spec):
             "W": {"class_rep": "x1", "character": {"x1": "-1"}},
         },
         {"diagonal": {"q11": "--1", "q12": "1", "q21": "1", "q22": "-1"}},
+        {"diagonal": {"q11": "-1", "q12": "z 3", "q21": "1", "q22": "-1"}},
     ],
-    ids=["diagonal-beside-a-group", "group_ref-beside-group", "scalar-double-minus"],
+    ids=[
+        "diagonal-beside-a-group",
+        "group_ref-beside-group",
+        "scalar-double-minus",
+        "scalar-space-inside-a-factor",
+    ],
 )
 def test_adjoint_conflicting_or_malformed_descriptor_exit2(capsys, tmp_path, spec):
     path = tmp_path / "conflict.json"

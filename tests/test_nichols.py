@@ -14,6 +14,8 @@ from qnichols.errors import InputError, InvariantViolationError, ResourceCapErro
 
 from oracles import (
     cyc_matrix,
+    cyc_power,
+    entry,
     factorization_identity_holds,
     matrix_sum,
     stores_no_zero,
@@ -81,12 +83,12 @@ def total_degrees(factors):
 def test_t1_diagonal_scalar():
     v, w = diag(NEG, Z3)
     t1 = N.t_operator(v, w, 1)
-    assert t1.get(0, 0) == ONE - Z3
+    assert entry(t1, 0, 0) == ONE - Z3
 
 
 def test_t1_zero_when_double_braiding_trivial():
     v, w = diag(NEG, ONE)
-    assert N.t_operator(v, w, 1).is_zero()
+    assert not N.t_operator(v, w, 1).data
     assert N.x_space_dim(v, w, 1) == 0
 
 
@@ -96,18 +98,18 @@ def test_quantum_serre_vanishing_pattern():
     assert N.x_space_dim(v, w, 1) == 1
     assert N.x_space_dim(v, w, 2) == 0
     st2 = N.symmetrized_t(v, w, 2)
-    assert st2.is_zero()
+    assert not st2.data
     st1 = N.symmetrized_t(v, w, 1)
-    assert not st1.is_zero()
+    assert st1.data
 
 
 def test_symmetrizer_small():
     v, _ = diag(Z3, ONE)
     assert N.quantum_symmetrizer(v, 1) == C.CycMatrix.identity(1)
     s2 = N.quantum_symmetrizer(v, 2)
-    assert s2.get(0, 0) == ONE + Z3
+    assert entry(s2, 0, 0) == ONE + Z3
     s3 = N.quantum_symmetrizer(v, 3)
-    assert s3.get(0, 0) == (ONE + Z3) * (ONE + Z3 + Z3 * Z3)
+    assert entry(s3, 0, 0) == (ONE + Z3) * (ONE + Z3 + Z3 * Z3)
 
 
 def test_symmetrizer_matches_sum_over_lifts(s3pair):
@@ -290,9 +292,9 @@ def _q_factorial_vanishes(q11, q12q21, m):
     (m)!_{q11} * prod_{k<m} (1 - q11^k q12 q21) = 0."""
     value = ONE
     for j in range(1, m + 1):
-        value = value * sum((q11**i for i in range(j)), C.zero())
+        value = value * sum((cyc_power(q11, i) for i in range(j)), C.zero())
     for k in range(m):
-        value = value * (ONE - q11**k * q12q21)
+        value = value * (ONE - cyc_power(q11, k) * q12q21)
     return value.is_zero()
 
 

@@ -1,18 +1,23 @@
 """Guard against dead library code: every top-level function and class of
-``src/qnichols``, and every method of a top-level class, must be reachable
-from what runs, or be on ALLOWLIST with the reason it stays.
+``src/qnichols``, every method of a top-level class, and every name a module
+assigns at top level must be reachable from what runs, or be on ALLOWLIST
+with the reason it stays.
 
-What runs is ``cli.main``, the module-level statements of the package, and
-every identifier in the non-test files under ``bench/``: names, attributes,
-and identifier-like strings, since ``bench/layers.py`` patches functions by
-attribute name.  From a reached definition the search follows each
-identifier in it: a bare ``ast.Name`` to every module-level definition of that
-name; ``self.<name>`` or ``cls.<name>`` inside a class to the method of that
-name on the class or on one of its bases in the package; any other
+What runs is ``cli.main``, the module-level statements of the package other
+than assignments to names, and every identifier in the non-test files under
+``bench/``: names, attributes, and identifier-like strings, since
+``bench/layers.py`` patches functions by attribute name.  From a reached
+definition the search follows each identifier in it: a bare ``ast.Name`` to
+every module-level definition or assigned name of that name;
+``self.<name>`` or ``cls.<name>`` inside a class to the method of that name
+on the class or on one of its bases in the package; any other
 ``ast.Attribute``, or a bench string, to every definition of that name, so
 such a method is reached by any attribute of its name.  A reached class also
 reaches its bases, decorators, class-level statements and dunder methods,
-which Python calls implicitly.  Dunders are never checked themselves: an
+which Python calls implicitly, and a reached module-level assignment reaches
+the names in its value and annotation.  What an allowlisted definition names
+is reached too, since it stays with it; one allowlisted definition naming
+another does not reach it.  Dunder methods are never checked themselves: an
 unused one has to be deleted by hand.
 
 Every name a ``src`` module imports is used in that module, unless
@@ -45,6 +50,7 @@ ALLOWLIST = {
     "weyl.finite_type": _ITEM_10,
     "weyl.detect_finite_object": _ITEM_10,
     "ydmod.transposition_module": "README quick start (tests/test_readme.py runs it)",
+    "__init__.__version__": "package metadata",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -74,10 +80,23 @@ def _identifiers(nodes, strings: bool = False):
                     yield sub.value, "attr"
 
 
-def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
+def _assigned(node: ast.AST) -> list[str]:
+    """The names a module-level ``name = ...`` or ``name: T = ...`` binds;
+    none for any other statement."""
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    elif isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        return []
+    return [t.id for t in targets] if all(isinstance(t, ast.Name) for t in targets) else []
+
+
+def unreached(package: Path, bench: list[Path], keep=()) -> dict[str, str]:
     """{qualname: "file:line"} of every checked definition in ``package``
-    that the roots do not reach; a method of an unreached class is left out,
-    since its class stands for it."""
+    that neither the roots nor the definitions in ``keep`` reach; a
+    method of an unreached class is left out, since its class stands for
+    it.  A ``keep`` definition is listed unless a root reaches it."""
     where: dict[str, str] = {}  # qualname -> file:line
     by_name: dict[str, list[str]] = {}
     follow: dict[str, list[ast.AST]] = {}  # qualname -> the nodes it reaches from
@@ -87,7 +106,14 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, _DEFS):
-                roots.append(node)
+                assigned = _assigned(node)
+                if not assigned:
+                    roots.append(node)
+                for name in assigned:
+                    qualname = f"{path.stem}.{name}"
+                    where[qualname] = f"{path.relative_to(package.parent)}:{node.lineno}"
+                    by_name.setdefault(name, []).append(qualname)
+                    follow[qualname] = [node]
                 continue
             members = [(f"{path.stem}.{node.name}", node)]
             if isinstance(node, ast.ClassDef):
@@ -106,7 +132,6 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
                 follow.setdefault(qualname, [item])
 
     reached: set[str] = set()
-    todo = [ENTRY]
     words = list(_identifiers(roots))
     for path in bench:
         words += _identifiers([ast.parse(path.read_text())], strings=True)
@@ -131,20 +156,26 @@ def unreached(package: Path, bench: list[Path]) -> dict[str, str]:
                     q for q in by_name.get(word, []) if kind == "attr" or q.count(".") == 1
                 )
 
-    todo += definitions(words)
-    while todo:
-        qualname = todo.pop()
-        if qualname in reached:
-            continue
-        reached.add(qualname)
-        todo += definitions(_identifiers(follow[qualname]), owner.get(qualname))
+    def named_in(qualname):
+        return definitions(_identifiers(follow[qualname]), owner.get(qualname))
+
+    def walk(todo, skip=frozenset()):
+        while todo:
+            qualname = todo.pop()
+            if qualname not in reached and qualname not in skip:
+                reached.add(qualname)
+                todo += named_in(qualname)
+
+    walk([ENTRY, *definitions(words)])
+    kept = {q for q in keep if q in where and q not in reached}
+    walk([q for k in kept for q in named_in(k)], skip=kept)
     dead = where.keys() - reached
     return {q: at for q, at in where.items() if q in dead and q.rsplit(".", 1)[0] not in dead}
 
 
 def _project_unreached() -> dict[str, str]:
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
-    return unreached(PACKAGE, bench)
+    return unreached(PACKAGE, bench, keep=ALLOWLIST)
 
 
 def test_every_definition_is_reached_or_allowlisted():
@@ -165,7 +196,7 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
         from . import lib
 
         def main():
-            return lib.helper() + lib.Box().used() + lib.Other()
+            return lib.helper() + lib.Box().used() + lib.Other() + TABLE["k"]()
 
         TABLE = {"k": lib.from_table}
         """
@@ -238,6 +269,59 @@ def test_guard_follows_calls_attributes_and_bench_strings(tmp_path):
     }
     assert set(unreached(package, [])) == dead | {"lib.benched"}
     assert set(unreached(package, [bench])) == dead
+
+
+def test_guard_checks_assigned_names_and_follows_kept_definitions(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "cli.py").write_text(textwrap.dedent(
+        """
+        from . import lib
+
+        def main():
+            return lib.LIMIT
+
+        print(lib.SHOWN)
+        """
+    ))
+    (package / "lib.py").write_text(textwrap.dedent(
+        """
+        LIMIT: int = _limit()
+        SHOWN = 1
+        UNREAD = _from_unread()
+        BENCHED = 2
+        Alias = int
+
+        def _limit():
+            return 3
+
+        def _from_unread():
+            pass
+
+        def kept(x: Alias) -> Alias:
+            return also_kept() + _from_kept()
+
+        def also_kept():
+            pass
+
+        def _from_kept():
+            pass
+        """
+    ))
+    bench = tmp_path / "layers.py"
+    bench.write_text('PATCH = [(lib, "BENCHED")]\n')
+    # an assigned name is reached by a read, a module-level statement or a
+    # bench string, and its value only through it; a kept definition reaches
+    # what it names, its annotations included, but not another kept one
+    dead = {"lib.UNREAD", "lib._from_unread", "lib.kept", "lib.also_kept"}
+    assert set(unreached(package, [bench], keep={"lib.kept", "lib.also_kept"})) == dead
+    assert set(unreached(package, [bench])) == dead | {"lib.Alias", "lib._from_kept"}
+    assert set(unreached(package, [], keep={"lib.kept"})) == {
+        "lib.UNREAD",
+        "lib._from_unread",
+        "lib.kept",
+        "lib.BENCHED",
+    }
 
 
 def unread_oracles(oracles: Path, tests: list[Path]) -> set[str]:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from qnichols import weyl as W
 from qnichols.errors import InputError
 
-from oracles import insert_inverse, reduce_seq
+from oracles import ID2, NEG_ID2, insert_inverse, reduce_seq
 
 
 def test_eta_values():
@@ -15,10 +15,10 @@ def test_eta_values():
 
 
 def test_eta_one_cubed_is_neg_id():
-    m = W.ID2
+    m = ID2
     for _ in range(3):
         m = W.mat_mul(m, W.eta(1))
-    assert m == W.NEG_ID2
+    assert m == NEG_ID2
 
 
 def test_is_characteristic():
@@ -32,13 +32,13 @@ def test_is_characteristic():
 
 
 def _characteristic_by_product(seq) -> bool:
-    m = W.ID2
+    m = ID2
     prefixes_ok = True
     for k, c in enumerate(seq):
         m = W.mat_mul(m, W.eta(c))
         if k < len(seq) - 1 and (m[0][0] < 0 or m[1][0] < 0):
             prefixes_ok = False
-    return bool(seq) and min(seq) >= 1 and prefixes_ok and m == W.NEG_ID2
+    return bool(seq) and min(seq) >= 1 and prefixes_ok and m == NEG_ID2
 
 
 @given(st.lists(st.integers(-2, 7), max_size=14))
@@ -58,10 +58,10 @@ def test_is_characteristic_matches_matrix_product_on_near_misses():
 
 def test_2121_product_oracle():
     # direct 2x2 multiplication
-    m = W.ID2
+    m = ID2
     for c in (2, 1, 2, 1):
         m = W.mat_mul(m, W.eta(c))
-    assert m == W.NEG_ID2
+    assert m == NEG_ID2
 
 
 def test_reduce_and_insert():
